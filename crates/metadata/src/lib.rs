@@ -565,7 +565,7 @@ struct MetadataHandler {
     /// Namespace shards, routed by top-level path component. Lock order:
     /// one shard, then (optionally) `reg` — never two shards at once. The
     /// ordering is declared via [`LockRank`] and enforced at runtime in
-    /// debug builds (and statically by `cargo xtask lint`).
+    /// debug builds (and statically by `cargo xtask check`).
     shards: Vec<OrderedMutex<Namespace>>,
     /// The block allocator, shared by every shard.
     reg: OrderedMutex<ServerRegistry>,

@@ -15,7 +15,7 @@
 //!
 //! [`wal_class`] is the durability contract: it names every
 //! [`RequestBody`] variant and says whether the operation is WAL-logged
-//! or explicitly waived. `cargo xtask lint` fails the build when a new
+//! or explicitly waived. `cargo xtask check` fails the build when a new
 //! request variant is added without extending that classification.
 
 use bytes::{Bytes, BytesMut};
@@ -307,7 +307,7 @@ pub enum WalClass {
 /// The durability classification of every request the protocol knows.
 ///
 /// This function is deliberately written as a fully-spelled-out match:
-/// `cargo xtask lint` checks that every `RequestBody` variant appears
+/// `cargo xtask check` checks that every `RequestBody` variant appears
 /// here, so adding a request without deciding its durability is a CI
 /// failure, not a silent recovery gap.
 pub fn wal_class(body: &RequestBody) -> WalClass {

@@ -312,7 +312,6 @@ impl fmt::Display for OpKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn bucket_scheme_is_exhaustive_and_ordered() {
@@ -414,42 +413,83 @@ mod tests {
         assert_eq!(OpKind::from_name("bogus"), None);
     }
 
-    proptest! {
-        #[test]
-        fn recorded_values_land_in_containing_bucket(v in any::<u64>()) {
+    /// Minimal LCG (Numerical Recipes constants), as in glider-proto's
+    /// `batch_fuzz_smoke.rs`; a failing property names its seed.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // The low bits of a power-of-two-modulus LCG have short periods.
+            self.0 >> 33
+        }
+
+        /// Any `u64`, spread over every magnitude (so every bucket).
+        fn any_u64(&mut self) -> u64 {
+            let wide = (self.next() << 33) | (self.next() << 2) | (self.next() & 3);
+            wide >> (self.next() % 64)
+        }
+
+        fn counts(&mut self) -> HistogramSnapshot {
+            let counts: Vec<u64> = (0..HIST_BUCKETS).map(|_| self.next() % 1_000_000).collect();
+            HistogramSnapshot::from_bucket_counts(&counts)
+        }
+    }
+
+    /// The boundary values a uniform draw essentially never produces;
+    /// they pin the first and last buckets.
+    const EDGES: [u64; 4] = [0, 1, u64::MAX - 1, u64::MAX];
+
+    #[test]
+    fn recorded_values_land_in_containing_bucket() {
+        let mut rng = Lcg(1);
+        let seeded = (0..4096).map(|_| rng.any_u64());
+        for (case, v) in EDGES.into_iter().chain(seeded).enumerate() {
             let idx = bucket_index(v);
             let (lo, hi) = bucket_bounds(idx);
-            prop_assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}] (bucket {idx})");
-        }
-
-        #[test]
-        fn percentiles_are_monotone(values in proptest::collection::vec(any::<u64>(), 1..200)) {
-            let h = LogHistogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            let s = h.snapshot();
-            prop_assert!(s.p50() <= s.p90());
-            prop_assert!(s.p90() <= s.p99());
-            prop_assert!(s.p99() <= s.p999());
-            prop_assert!(s.p999() <= s.max());
-            // And the quantile estimate never undershoots a true lower bound:
-            // max() is the upper bound of the highest occupied bucket.
-            let true_max = *values.iter().max().unwrap();
-            prop_assert!(s.max() >= true_max);
-        }
-
-        #[test]
-        fn merge_is_associative_and_commutative(
-            a in proptest::collection::vec(0u64..1_000_000, HIST_BUCKETS),
-            b in proptest::collection::vec(0u64..1_000_000, HIST_BUCKETS),
-            c in proptest::collection::vec(0u64..1_000_000, HIST_BUCKETS),
-        ) {
-            let (a, b, c) = (
-                HistogramSnapshot::from_bucket_counts(&a),
-                HistogramSnapshot::from_bucket_counts(&b),
-                HistogramSnapshot::from_bucket_counts(&c),
+            assert!(
+                lo <= v && v <= hi,
+                "case {case}: {v} outside [{lo}, {hi}] (bucket {idx})"
             );
+        }
+    }
+
+    fn assert_percentiles_monotone(values: &[u64], case: &str) {
+        let h = LogHistogram::new();
+        for &v in values {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        assert!(s.p50() <= s.p90(), "{case}");
+        assert!(s.p90() <= s.p99(), "{case}");
+        assert!(s.p99() <= s.p999(), "{case}");
+        assert!(s.p999() <= s.max(), "{case}");
+        // And the quantile estimate never undershoots a true lower bound:
+        // max() is the upper bound of the highest occupied bucket.
+        let true_max = *values.iter().max().unwrap();
+        assert!(s.max() >= true_max, "{case}");
+    }
+
+    #[test]
+    fn percentiles_are_monotone() {
+        assert_percentiles_monotone(&EDGES, "edges");
+        assert_percentiles_monotone(&EDGES[..2], "low edges");
+        assert_percentiles_monotone(&EDGES[2..], "high edges");
+        for seed in 0..256 {
+            let mut rng = Lcg(seed);
+            let values: Vec<u64> = (0..1 + rng.next() % 199).map(|_| rng.any_u64()).collect();
+            assert_percentiles_monotone(&values, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn merge_is_associative_and_commutative() {
+        for seed in 0..256 {
+            let mut rng = Lcg(seed);
+            let (a, b, c) = (rng.counts(), rng.counts(), rng.counts());
             // (a + b) + c
             let mut left = a.clone();
             left.merge(&b);
@@ -459,13 +499,13 @@ mod tests {
             bc.merge(&c);
             let mut right = a.clone();
             right.merge(&bc);
-            prop_assert_eq!(&left, &right);
+            assert_eq!(&left, &right, "seed {seed}");
             // b + a == a + b
             let mut ab = a.clone();
             ab.merge(&b);
             let mut ba = b.clone();
             ba.merge(&a);
-            prop_assert_eq!(ab, ba);
+            assert_eq!(ab, ba, "seed {seed}");
         }
     }
 }

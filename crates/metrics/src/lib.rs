@@ -31,11 +31,10 @@
 //! assert_eq!(snap.storage_peak, 4096);
 //! ```
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 mod hist;
@@ -89,6 +88,13 @@ impl SeriesState {
             rings: std::array::from_fn(|_| VecDeque::new()),
         }
     }
+}
+
+/// Locks a registry mutex, recovering a poisoned guard: the notes ring
+/// and the series rings are valid after every individual push/pop, so
+/// a panic elsewhere under the lock leaves nothing half-updated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The architectural tier an endpoint belongs to.
@@ -528,7 +534,7 @@ impl MetricsRegistry {
     /// and are counted in `notes_dropped`, so a long-running server
     /// cannot grow the buffer without bound.
     pub fn note(&self, s: impl Into<String>) {
-        let mut notes = self.notes.lock();
+        let mut notes = lock(&self.notes);
         notes.push_back(s.into());
         if notes.len() > NOTES_CAPACITY {
             notes.pop_front();
@@ -542,7 +548,7 @@ impl MetricsRegistry {
     /// out). Called by a background ticker — see
     /// [`try_claim_sampler`](Self::try_claim_sampler).
     pub fn sample_series_tick(&self) {
-        let mut series = self.series.lock();
+        let mut series = lock(&self.series);
         let seq = series.next_seq;
         series.next_seq += 1;
         for kind in OpKind::ALL {
@@ -580,7 +586,7 @@ impl MetricsRegistry {
     /// The retained time series of every operation kind that has seen
     /// traffic, oldest point first.
     pub fn series(&self) -> Vec<OpSeries> {
-        let series = self.series.lock();
+        let series = lock(&self.series);
         OpKind::ALL
             .iter()
             .filter_map(|&kind| {
@@ -652,7 +658,7 @@ impl MetricsRegistry {
             replication_lag_current: self.replication_lag.current.load(Ordering::Relaxed),
             replication_lag_peak: self.replication_lag.peak.load(Ordering::Relaxed),
             under_replicated: self.under_replicated.load(Ordering::Relaxed),
-            notes: self.notes.lock().iter().cloned().collect(),
+            notes: lock(&self.notes).iter().cloned().collect(),
             notes_dropped: self.notes_dropped.load(Ordering::Relaxed),
             exemplars: std::array::from_fn(|k| {
                 std::array::from_fn(|b| self.exemplars[k][b].load(Ordering::Relaxed))
@@ -715,10 +721,10 @@ impl MetricsRegistry {
                 e.store(0, Ordering::Relaxed);
             }
         }
-        *self.series.lock() = SeriesState::new();
+        *lock(&self.series) = SeriesState::new();
         // Swap the notes out under the lock; the old buffer deallocates
         // after the lock is released.
-        let old_notes = std::mem::take(&mut *self.notes.lock());
+        let old_notes = std::mem::take(&mut *lock(&self.notes));
         drop(old_notes);
     }
 }

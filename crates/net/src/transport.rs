@@ -6,7 +6,7 @@
 //! dispatch is data-driven — [`TRANSPORTS`] lists every implementation
 //! and [`transport_for`] picks by address — so an RDMA-sim or io_uring
 //! backend is one new impl plus one registry entry, with no call-site
-//! changes. `cargo xtask lint` checks that every `impl Transport` in
+//! changes. `cargo xtask check` checks that every `impl Transport` in
 //! this crate appears in the registry initializer.
 //!
 //! Fault injection deliberately lives *outside* the transports, as a
@@ -87,7 +87,7 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Every registered transport, in claim order. `cargo xtask lint`
+/// Every registered transport, in claim order. `cargo xtask check`
 /// cross-checks this list against the `impl Transport` blocks in the
 /// crate, so adding a backend without registering it fails the build.
 pub static TRANSPORTS: [&'static dyn Transport; 2] = [&MemTransport, &TcpTransport];

@@ -89,7 +89,7 @@ impl ErrorCode {
     ///
     /// The match is deliberately exhaustive (no `_` arm): adding an
     /// `ErrorCode` variant without deciding its retry class is a compile
-    /// error here and a `cargo xtask lint` failure.
+    /// error here and a `cargo xtask check` failure.
     pub fn is_retryable(self) -> bool {
         match self {
             // Transport-level: the operation may never have reached (or

@@ -16,7 +16,6 @@
 //! assert_eq!(sz.to_string(), "4.00 MiB");
 //! ```
 
-pub mod hist;
 pub mod ids;
 pub mod lockorder;
 pub mod rate;

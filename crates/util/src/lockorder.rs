@@ -21,7 +21,7 @@
 //! listings take shard locks sequentially, never nested).
 //!
 //! The static half of the same check lives in `xtask` (`cargo xtask
-//! lint`), which scans for nested acquisitions in source order; this
+//! check`), which scans for nested acquisitions in source order; this
 //! runtime guard catches the compositions static scanning cannot see
 //! (locks taken in helpers on behalf of callers).
 //!

@@ -1,14 +1,20 @@
-//! Crash-point proptests: whatever point a crash tears the log at,
+//! Crash-point property tests: whatever point a crash tears the log at,
 //! replay yields an exact prefix of the appended op stream, and every
 //! record that was fully on disk before the crash point survives.
+//!
+//! Each property runs as a seeded loop (std-only, so the crate tests
+//! offline); a failing case names its seed, and `Lcg(seed)` replays it.
 
+#[path = "common/lcg.rs"]
+mod lcg;
 use glider_wal::{FsyncPolicy, Wal, WalOptions, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN};
-use proptest::prelude::*;
+use lcg::Lcg;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const SEGMENT_BYTES: u64 = 256;
+const CASES: u64 = 64;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -80,21 +86,23 @@ fn record_ends(segment: &[u8]) -> Vec<u64> {
     ends
 }
 
-fn payload_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..40)
+/// 1..40 payloads of 0..64 arbitrary bytes each.
+fn payloads(rng: &mut Lcg) -> Vec<Vec<u8>> {
+    (0..rng.range(1, 40))
+        .map(|_| (0..rng.range(0, 64)).map(|_| rng.byte()).collect())
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Truncate the tail segment at an arbitrary byte (a kill -9 mid
+/// write): replay returns exactly the records that were fully on
+/// disk — no more, no fewer, in order.
+#[test]
+fn truncation_replays_the_exact_on_disk_prefix() {
+    for seed in 0..CASES {
+        let mut rng = Lcg(seed);
+        let payloads = payloads(&mut rng);
+        let cut_frac = rng.frac();
 
-    /// Truncate the tail segment at an arbitrary byte (a kill -9 mid
-    /// write): replay returns exactly the records that were fully on
-    /// disk — no more, no fewer, in order.
-    #[test]
-    fn truncation_replays_the_exact_on_disk_prefix(
-        payloads in payload_strategy(),
-        cut_frac in 0.0f64..1.0,
-    ) {
         let dir = case_dir("truncate");
         write_all(&dir, &payloads);
 
@@ -114,60 +122,82 @@ proptest! {
         drop(file);
 
         let replay = reopen(&dir);
-        prop_assert_eq!(&replay.records, &payloads[..expected]);
+        assert_eq!(&replay.records, &payloads[..expected], "seed {seed}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
 
-    /// Flip one arbitrary byte in the tail segment's record area:
-    /// replay still yields a clean prefix of the op stream (the flip
-    /// is caught by the length guard or the CRC, never surfaced as a
-    /// corrupt record).
-    #[test]
-    fn tail_bitflip_still_replays_a_prefix(
-        payloads in payload_strategy(),
-        pos_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
+/// Flip one arbitrary byte in the tail segment's record area:
+/// replay still yields a clean prefix of the op stream (the flip
+/// is caught by the length guard or the CRC, never surfaced as a
+/// corrupt record).
+#[test]
+fn tail_bitflip_still_replays_a_prefix() {
+    for seed in 0..CASES {
+        let mut rng = Lcg(seed);
+        let payloads = payloads(&mut rng);
+        let pos_frac = rng.frac();
+        let bit = rng.range(0, 8);
+
         let dir = case_dir("bitflip");
         write_all(&dir, &payloads);
 
         let tail_path = last_segment(&dir);
         let mut tail = std::fs::read(&tail_path).expect("read tail segment");
-        prop_assume!(tail.len() as u64 > SEGMENT_HEADER_LEN);
+        if tail.len() as u64 <= SEGMENT_HEADER_LEN {
+            // An empty tail segment has no record byte to flip.
+            let _ = std::fs::remove_dir_all(&dir);
+            continue;
+        }
         let span = tail.len() - SEGMENT_HEADER_LEN as usize;
         let pos = SEGMENT_HEADER_LEN as usize + ((span as f64 * pos_frac) as usize).min(span - 1);
         tail[pos] ^= 1 << bit;
         std::fs::write(&tail_path, &tail).expect("write corrupted tail");
 
         let replay = reopen(&dir);
-        prop_assert!(replay.records.len() <= payloads.len());
-        prop_assert_eq!(&replay.records, &payloads[..replay.records.len()]);
+        assert!(replay.records.len() <= payloads.len(), "seed {seed}");
+        assert_eq!(
+            &replay.records,
+            &payloads[..replay.records.len()],
+            "seed {seed}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
 
-    /// Drive a tiny KV state machine through the log, crash at a
-    /// random record boundary, and check the replayed state equals the
-    /// state after applying exactly the surviving prefix of ops.
-    #[test]
-    fn kv_state_machine_recovers_prefix_state(
-        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..60),
-        keep_frac in 0.0f64..1.0,
-    ) {
-        fn apply(state: &mut HashMap<u8, u8>, record: &[u8]) {
-            match record {
-                [0, key, value] => { state.insert(*key, *value); }
-                [1, key] => { state.remove(key); }
-                other => panic!("unknown op record {other:?}"),
+/// Drive a tiny KV state machine through the log, crash at a
+/// random record boundary, and check the replayed state equals the
+/// state after applying exactly the surviving prefix of ops.
+#[test]
+fn kv_state_machine_recovers_prefix_state() {
+    fn apply(state: &mut HashMap<u8, u8>, record: &[u8]) {
+        match record {
+            [0, key, value] => {
+                state.insert(*key, *value);
             }
+            [1, key] => {
+                state.remove(key);
+            }
+            other => panic!("unknown op record {other:?}"),
         }
+    }
 
-        let dir = case_dir("kv");
-        let records: Vec<Vec<u8>> = ops
-            .iter()
-            .map(|(key, value, is_put)| {
-                if *is_put { vec![0, *key, *value] } else { vec![1, *key] }
+    for seed in 0..CASES {
+        let mut rng = Lcg(seed);
+        // 1..60 ops: put(key, value) or delete(key).
+        let records: Vec<Vec<u8>> = (0..rng.range(1, 60))
+            .map(|_| {
+                let (key, value) = (rng.byte(), rng.byte());
+                if rng.range(0, 2) == 1 {
+                    vec![0, key, value]
+                } else {
+                    vec![1, key]
+                }
             })
             .collect();
+        let keep_frac = rng.frac();
+
+        let dir = case_dir("kv");
         write_all(&dir, &records);
 
         // Crash: drop a suffix of the tail segment at a record boundary.
@@ -193,7 +223,7 @@ proptest! {
         for record in &replay.records {
             apply(&mut recovered, record);
         }
-        prop_assert_eq!(recovered, expected);
+        assert_eq!(recovered, expected, "seed {seed}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

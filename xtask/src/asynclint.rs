@@ -1,7 +1,7 @@
-//! Async-hygiene lint.
+//! Async-hygiene pass.
 //!
 //! Two checks over every async region (async fn bodies plus
-//! `async {}`/`async move {}` blocks), with `#[cfg(test)]` code excluded:
+//! `async {}`/`async move {}` blocks) of every crate:
 //!
 //! - **A — sync mutex across await**: in a file that uses
 //!   `std::sync::Mutex`, an async region that both takes `.lock()` and
@@ -14,103 +14,82 @@
 //! - **B — blocking I/O in async**: `std::fs::` / `std::net::` calls in
 //!   an async region block the executor thread; use `tokio::fs`/
 //!   `tokio::net` or `spawn_blocking`.
+//!
+//! A region nested in another (an `async move {}` inside an `async fn`)
+//! is scanned as part of both, so its findings repeat once per level.
 
-use crate::lexer::{blank_cfg_test, is_ident_char, line_of, strip};
-use crate::Finding;
+use crate::tokens::{each_level, flatten, FlatTok, Tok};
+use crate::workspace::{SourceFile, Workspace};
+use crate::{Counters, Finding};
 
-/// Byte ranges of every async region in stripped text.
-pub fn async_regions(text: &str) -> Vec<(usize, usize)> {
-    let bytes = text.as_bytes();
+pub fn check(ws: &Workspace, _: &mut Counters) -> Vec<Finding> {
+    ws.under(&["crates"])
+        .filter(|f| f.rel.split('/').nth(2) == Some("src"))
+        .flat_map(scan)
+        .collect()
+}
+
+/// The body of every async region: the first `{ … }` after an `async`
+/// keyword at the same nesting level (past the fn signature or `move`);
+/// a `;` first means a bodiless trait method.
+fn async_regions(toks: &[Tok]) -> Vec<&[Tok]> {
     let mut regions = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = text[from..].find("async") {
-        let at = from + rel;
-        from = at + "async".len();
-        let before_ok = at == 0 || !is_ident_char(bytes[at - 1] as char);
-        let after_ok = from >= bytes.len() || !is_ident_char(bytes[from] as char);
-        if !(before_ok && after_ok) {
-            continue;
-        }
-        // The region body is the first `{` at paren depth 0 after the
-        // `async` keyword (skips the fn signature / `move` keyword).
-        let chars: Vec<char> = text.chars().collect();
-        let mut i = text[..from].chars().count();
-        let mut paren = 0i32;
-        while i < chars.len() {
-            match chars[i] {
-                '(' => paren += 1,
-                ')' => paren -= 1,
-                '{' if paren == 0 => break,
-                ';' if paren == 0 => {
-                    i = chars.len(); // trait method declaration, no body
-                }
-                _ => {}
+    each_level(toks, &mut |level| {
+        for (i, t) in level.iter().enumerate() {
+            if !t.is_ident("async") {
+                continue;
             }
-            i += 1;
+            let body = level[i + 1..]
+                .iter()
+                .take_while(|t| !t.is_punct(';'))
+                .find_map(|t| t.group('{'));
+            regions.extend(body);
         }
-        if i >= chars.len() {
-            continue;
-        }
-        let start_byte: usize = chars[..i].iter().map(|c| c.len_utf8()).sum();
-        let mut depth = 0usize;
-        let mut end = i;
-        while end < chars.len() {
-            match chars[end] {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            end += 1;
-        }
-        let end_byte: usize = chars[..end.min(chars.len())]
-            .iter()
-            .map(|c| c.len_utf8())
-            .sum();
-        regions.push((start_byte, end_byte));
-        from = start_byte;
-    }
+    });
     regions
 }
 
-/// Scans one file; `rel_path` is used in findings.
-pub fn scan(rel_path: &str, source: &str) -> Vec<Finding> {
-    let text = blank_cfg_test(&strip(source));
+fn scan(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    let uses_std_mutex = text.contains("std::sync::Mutex");
+    let uses_std_mutex = file.text.contains("std::sync::Mutex");
 
-    for (start, end) in async_regions(&text) {
-        let body = &text[start..end];
-        if uses_std_mutex && body.contains(".await") {
-            if let Some(pos) = body.find(".lock()") {
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: line_of(&text, start + pos),
-                    message: "possible std::sync::Mutex guard held across `.await`: this \
-                              async region both locks and awaits in a file using \
-                              std::sync::Mutex — scope the guard to a sync block or \
-                              switch to tokio::sync::Mutex"
+    for region in async_regions(&file.toks) {
+        let flat = flatten(region);
+        let awaits = flat
+            .windows(2)
+            .any(|w| w[0].is_punct('.') && w[1].is_ident("await"));
+        let lock = flat
+            .windows(3)
+            .find(|w| w[0].is_punct('.') && w[1].is_ident("lock") && w[2].is_open('('))
+            .map(|w| w[0].pos());
+        if let (true, true, Some(lock)) = (uses_std_mutex, awaits, lock) {
+            out.push(
+                file.finding_at(
+                    lock,
+                    "possible std::sync::Mutex guard held across `.await`: this async region \
+                 both locks and awaits in a file using std::sync::Mutex — scope the guard \
+                 to a sync block or switch to tokio::sync::Mutex"
                         .to_string(),
-                });
-            }
+                ),
+            );
         }
-        for pat in ["std::fs::", "std::net::"] {
-            let mut from = 0;
-            while let Some(rel) = body[from..].find(pat) {
-                let at = from + rel;
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: line_of(&text, start + at),
-                    message: format!(
-                        "blocking `{pat}` call inside an async region blocks the \
+        for w in flat.windows(6) {
+            let module = match &w[3] {
+                FlatTok::Ident {
+                    text: m @ ("fs" | "net"),
+                    ..
+                } => m,
+                _ => continue,
+            };
+            let colons = [&w[1], &w[2], &w[4], &w[5]];
+            if w[0].is_ident("std") && colons.iter().all(|t| t.is_punct(':')) {
+                out.push(file.finding_at(
+                    w[0].pos(),
+                    format!(
+                        "blocking `std::{module}::` call inside an async region blocks the \
                          executor thread; use the tokio equivalent or spawn_blocking"
                     ),
-                });
-                from = at + pat.len();
+                ));
             }
         }
     }
@@ -122,58 +101,37 @@ pub fn scan(rel_path: &str, source: &str) -> Vec<Finding> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn finds_async_fn_and_block_regions() {
-        let text = "async fn a(x: u8) { b().await } fn s() { spawn(async move { c().await }); }";
-        let r = async_regions(text);
-        assert_eq!(r.len(), 2);
-        assert!(text[r[0].0..r[0].1].contains("b()"));
-        assert!(text[r[1].0..r[1].1].contains("c()"));
+    fn scan_src(src: &str) -> Vec<Finding> {
+        scan(&SourceFile::new("x.rs", src))
     }
 
     #[test]
-    fn sync_fns_are_not_regions() {
-        assert!(async_regions("fn not_async() { std::fs::read(p); }").is_empty());
-        // `async` as part of a longer identifier is not a keyword.
-        assert!(async_regions("fn asyncish() { x }").is_empty());
+    fn finds_async_fn_and_block_regions() {
+        let f = SourceFile::new(
+            "x.rs",
+            "async fn a(x: u8) { b().await } fn s() { spawn(async move { c().await }); } \
+             trait T { async fn d(); } fn asyncish() { e }",
+        );
+        let regions = async_regions(&f.toks);
+        assert_eq!(regions.len(), 2);
+        assert!(regions[0][0].is_ident("b"));
+        assert!(regions[1][0].is_ident("c"));
     }
 
     #[test]
     fn lock_across_await_flagged_only_with_std_mutex() {
-        let bad = "use std::sync::Mutex;\nasync fn f(m: &Mutex<u8>) { let g = m.lock(); io().await; }";
-        let out = scan("x.rs", bad);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("std::sync::Mutex"));
-
         // Same shape but no std::sync::Mutex in the file (tokio's
         // `lock().await` pattern): clean.
         let ok = "async fn f(m: &tokio::sync::Mutex<u8>) { let g = m.lock().await; io().await; }";
-        assert!(scan("x.rs", ok).is_empty());
+        assert!(scan_src(ok).is_empty());
+        let no_await = "use std::sync::Mutex;\nasync fn f(m: &Mutex<u8>) { let g = m.lock(); }";
+        assert!(scan_src(no_await).is_empty());
     }
 
     #[test]
-    fn lock_without_await_is_clean() {
-        let src = "use std::sync::Mutex;\nasync fn f(m: &Mutex<u8>) { let g = m.lock(); }";
-        assert!(scan("x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn blocking_io_in_async_flagged() {
-        let src = "async fn f() { let d = std::fs::read(\"p\"); s.await; }";
-        let out = scan("x.rs", src);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("std::fs::"));
-    }
-
-    #[test]
-    fn blocking_io_in_sync_fn_is_clean() {
-        let src = "fn main() { std::fs::write(\"out\", data); }";
-        assert!(scan("x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn test_code_is_skipped() {
-        let src = "#[cfg(test)]\nmod tests { async fn f() { std::fs::read(p); x.await; } }";
-        assert!(scan("x.rs", src).is_empty());
+    fn blocking_io_in_sync_fn_or_test_code_is_clean() {
+        assert!(scan_src("fn main() { std::fs::write(\"out\", data); }").is_empty());
+        let test_only = "#[cfg(test)]\nmod tests { async fn f() { std::fs::read(p); x.await; } }";
+        assert!(scan_src(test_only).is_empty());
     }
 }

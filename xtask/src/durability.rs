@@ -16,51 +16,43 @@
 //! is flagged) but never under-approximates on straight-line handler
 //! code, which is what the handlers are. Arms that delegate logging to
 //! a helper (e.g. `RepairNode` → `repair_node_locked`) are waived in
-//! `xtask/analyze-waivers.txt` with a justification saying where the
+//! `xtask/waivers.txt` with a justification saying where the
 //! append actually happens.
 
-use crate::lexer::{blank_cfg_test, line_of, strip};
-use crate::tokens::{self, all_match_arms, flatten, qualified_variants, FlatTok};
-use crate::waivers::AnalyzeWaivers;
-use crate::Finding;
+use crate::protocol;
+use crate::tokens::{all_match_arms, flatten, qualified_variants, FlatTok};
+use crate::workspace::Workspace;
+use crate::{Counters, Finding};
 
 /// Identifiers whose call marks the state durable.
 const PERSIST_CALLS: [&str; 4] = ["log", "append", "persist", "install_snapshot"];
 
-/// Summary counters for `--report`.
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// Logged ops with at least one audited match arm.
-    pub audited: usize,
-    /// Findings suppressed by a waiver.
-    pub waived: usize,
+const METADATA: &str = "crates/metadata/src/lib.rs";
+const STORAGE: &str = "crates/storage/src/server.rs";
+
+pub fn check(ws: &Workspace, counters: &mut Counters) -> Vec<Finding> {
+    let mut out = check_metadata(ws, counters).unwrap_or_else(|missing| vec![missing]);
+    out.extend(check_forward_chunk(ws, counters).unwrap_or_else(|missing| vec![missing]));
+    out
 }
 
-/// Checks the metadata handler file: every match arm for a `Logged`
-/// request variant must construct its success response only after a
-/// persistence call.
-pub fn check_metadata(
-    rel: &str,
-    source: &str,
-    logged: &[String],
-    waivers: &AnalyzeWaivers,
-    used: &mut Vec<(String, String)>,
-    stats: &mut Stats,
-) -> Vec<Finding> {
-    let text = blank_cfg_test(&strip(source));
-    let toks = tokens::parse(&text);
-    let arms = all_match_arms(&toks);
+/// Checks the metadata handler file: every match arm for a request
+/// variant `wal_class` calls `Logged` must construct its success
+/// response only after a persistence call.
+fn check_metadata(ws: &Workspace, counters: &mut Counters) -> Result<Vec<Finding>, Finding> {
+    let file = ws.file(METADATA)?;
+    let arms = all_match_arms(&file.toks);
     let mut out = Vec::new();
 
-    for v in logged {
+    for v in protocol::logged_variants(ws) {
         let mut seen_arm = false;
         for arm in &arms {
-            if !qualified_variants(&arm.pat, "RequestBody").iter().any(|p| p == v) {
+            let pats = qualified_variants(arm.pat.iter().copied(), "RequestBody");
+            if !pats.contains(&v) {
                 continue;
             }
             seen_arm = true;
-            let mut flat = Vec::new();
-            flatten(&arm.body, &mut flat);
+            let flat = flatten(arm.body.iter().copied());
             for ack_pos in ack_positions(&flat) {
                 let persisted_before = flat
                     .iter()
@@ -69,68 +61,56 @@ pub fn check_metadata(
                 if persisted_before {
                     continue;
                 }
-                let finding = Finding {
-                    file: rel.to_string(),
-                    line: line_of(&text, ack_pos),
-                    message: format!(
+                if ws.waivers.is_waived("durability", &v) {
+                    counters.durability_waived += 1;
+                    continue;
+                }
+                out.push(file.finding_at(
+                    ack_pos,
+                    format!(
                         "`RequestBody::{v}` is WAL-`Logged` but this arm acks \
                          (`Ok(ResponseBody::…)`) with no earlier `log`/`append` on the \
                          token path — persist before ack, or waive with a justification \
-                         in xtask/analyze-waivers.txt"
+                         in xtask/waivers.txt"
                     ),
-                };
-                if waivers.is_waived("durability", v) {
-                    used.push(("durability".to_string(), v.clone()));
-                    stats.waived += 1;
-                } else {
-                    out.push(finding);
-                }
+                ));
             }
         }
         if seen_arm {
-            stats.audited += 1;
-        } else if waivers.is_waived("durability", v) {
-            used.push(("durability".to_string(), v.clone()));
-            stats.waived += 1;
+            counters.arms_audited += 1;
+        } else if ws.waivers.is_waived("durability", &v) {
+            counters.durability_waived += 1;
         } else {
-            out.push(Finding {
-                file: rel.to_string(),
-                line: 0,
-                message: format!(
-                    "`RequestBody::{v}` is WAL-`Logged` but {rel} has no `RequestBody::{v}` \
-                     match arm to audit — handle it in the dispatch match, or waive with a \
-                     justification naming where the append happens"
+            out.push(Finding::new(
+                METADATA,
+                0,
+                format!(
+                    "`RequestBody::{v}` is WAL-`Logged` but {METADATA} has no \
+                     `RequestBody::{v}` match arm to audit — handle it in the dispatch match, \
+                     or waive with a justification naming where the append happens"
                 ),
-            });
+            ));
         }
     }
-    out
+    Ok(out)
 }
 
 /// Checks the storage handler file: the `ForwardChunk` arm must persist
 /// locally (`.write(…)` on the store) before forwarding down the chain
 /// and before acking `Written`.
-pub fn check_forward_chunk(
-    rel: &str,
-    source: &str,
-    waivers: &AnalyzeWaivers,
-    used: &mut Vec<(String, String)>,
-    stats: &mut Stats,
-) -> Vec<Finding> {
-    let text = blank_cfg_test(&strip(source));
-    let toks = tokens::parse(&text);
+fn check_forward_chunk(ws: &Workspace, counters: &mut Counters) -> Result<Vec<Finding>, Finding> {
+    let file = ws.file(STORAGE)?;
     let mut out = Vec::new();
     let mut seen = false;
 
-    for arm in all_match_arms(&toks) {
-        let pats = qualified_variants(&arm.pat, "RequestBody");
+    for arm in all_match_arms(&file.toks) {
+        let pats = qualified_variants(arm.pat.iter().copied(), "RequestBody");
         if !pats.iter().any(|p| p == "ForwardChunk") {
             continue;
         }
         seen = true;
-        stats.audited += 1;
-        let mut flat = Vec::new();
-        flatten(&arm.body, &mut flat);
+        counters.arms_audited += 1;
+        let flat = flatten(arm.body.iter().copied());
         // First local persist: `.write(` — method call, not the pattern.
         let persist_pos = flat.windows(3).find_map(|w| {
             (w[0].is_punct('.') && w[1].is_ident("write") && w[2].is_open('(')).then(|| w[1].pos())
@@ -148,64 +128,53 @@ pub fn check_forward_chunk(
                 _ => violations.push((ack_pos, "acks `Written`")),
             }
         }
-        if let (Some(f), persist) = (forward_pos, persist_pos) {
-            match persist {
+        if let Some(f) = forward_pos {
+            match persist_pos {
                 Some(p) if p < f => {}
                 _ => violations.push((f, "forwards down the chain")),
             }
         }
         for (pos, what) in violations {
-            if waivers.is_waived("durability", "ForwardChunk") {
-                used.push(("durability".to_string(), "ForwardChunk".to_string()));
-                stats.waived += 1;
+            if ws.waivers.is_waived("durability", "ForwardChunk") {
+                counters.durability_waived += 1;
                 continue;
             }
-            out.push(Finding {
-                file: rel.to_string(),
-                line: line_of(&text, pos),
-                message: format!(
+            out.push(file.finding_at(
+                pos,
+                format!(
                     "`ForwardChunk` {what} before the local `store.write(…)` — a client \
                      ack must mean every replica in the chain holds the bytes \
                      (persist-then-forward-then-ack)"
                 ),
-            });
+            ));
         }
     }
     if !seen {
-        out.push(Finding {
-            file: rel.to_string(),
-            line: 0,
-            message: "durability pass found no `RequestBody::ForwardChunk` arm to audit — \
-                      update xtask if the replication handler moved"
+        out.push(Finding::new(
+            STORAGE,
+            0,
+            "durability pass found no `RequestBody::ForwardChunk` arm to audit — \
+             update xtask if the replication handler moved"
                 .to_string(),
-        });
+        ));
     }
-    out
+    Ok(out)
 }
 
 /// Positions of success acks in a flat arm body: `Ok(ResponseBody::X …)`
 /// where `X` is not `Error`.
 fn ack_positions(flat: &[FlatTok<'_>]) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 5 < flat.len() + 1 {
-        if flat[i].is_ident("Ok")
-            && flat[i + 1].is_open('(')
-            && flat[i + 2].is_ident("ResponseBody")
-            && flat[i + 3].is_punct(':')
-            && flat[i + 4].is_punct(':')
-        {
-            let non_error = match flat.get(i + 5) {
-                Some(FlatTok::Ident { text, .. }) => *text != "Error",
-                _ => false,
-            };
-            if non_error {
-                out.push(flat[i].pos());
-            }
-        }
-        i += 1;
-    }
-    out
+    flat.windows(6)
+        .filter(|w| {
+            w[0].is_ident("Ok")
+                && w[1].is_open('(')
+                && w[2].is_ident("ResponseBody")
+                && w[3].is_punct(':')
+                && w[4].is_punct(':')
+                && matches!(&w[5], FlatTok::Ident { text, .. } if *text != "Error")
+        })
+        .map(|w| w[0].pos())
+        .collect()
 }
 
 /// Whether `t` is a persistence-call identifier followed by `(` in the
@@ -227,163 +196,62 @@ fn is_persist_call_at(flat: &[FlatTok<'_>], t: &FlatTok<'_>) -> bool {
 mod tests {
     use super::*;
 
-    fn no_waivers() -> AnalyzeWaivers {
-        AnalyzeWaivers::parse("").unwrap()
-    }
-
-    const GOOD: &str = "
-        fn handle_sync(&self, body: RequestBody) -> GliderResult<ResponseBody> {
-            match body {
-                RequestBody::CreateNode { path } => {
-                    let id = ns.create(path)?;
-                    self.log(&WalEntry::NodeCreated { id })?;
-                    Ok(ResponseBody::Node(id))
-                }
-                RequestBody::LookupNode { path } => Ok(ResponseBody::Node(find(path)?)),
-                other => Err(err(other)),
+    const WAL: (&str, &str) = (
+        "crates/metadata/src/wal.rs",
+        "fn wal_class(b: &RequestBody) -> WalClass {
+            match b {
+                RequestBody::CreateNode { .. } => WalClass::Logged,
+                RequestBody::LookupNode { .. } => WalClass::ReadOnly,
             }
-        }
-    ";
+        }",
+    );
 
     #[test]
-    fn ack_after_log_is_clean() {
-        let logged = vec!["CreateNode".to_string()];
-        let mut used = Vec::new();
-        let mut stats = Stats::default();
-        let out = check_metadata("m.rs", GOOD, &logged, &no_waivers(), &mut used, &mut stats);
-        assert!(out.is_empty(), "{out:?}");
-        assert_eq!(stats.audited, 1);
-    }
-
-    #[test]
-    fn ack_before_log_is_flagged() {
+    fn ack_after_log_is_clean_and_read_only_arms_need_no_log() {
         let src = "
             fn handle_sync(&self, body: RequestBody) -> GliderResult<ResponseBody> {
                 match body {
                     RequestBody::CreateNode { path } => {
-                        let resp = Ok(ResponseBody::Node(ns.create(path)?));
-                        self.log(&WalEntry::NodeCreated {})?;
-                        resp
+                        let id = ns.create(path)?;
+                        self.log(&WalEntry::NodeCreated { id })?;
+                        Ok(ResponseBody::Node(id))
                     }
+                    RequestBody::LookupNode { path } => Ok(ResponseBody::Node(find(path)?)),
                     other => Err(err(other)),
                 }
             }
         ";
-        let logged = vec!["CreateNode".to_string()];
-        let mut used = Vec::new();
-        let out = check_metadata(
-            "m.rs",
-            src,
-            &logged,
-            &no_waivers(),
-            &mut used,
-            &mut Stats::default(),
-        );
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("CreateNode"));
-        assert!(out[0].line > 1);
+        let ws = Workspace::from_sources(&[WAL, (METADATA, src)]);
+        let mut counters = Counters::default();
+        let out = check_metadata(&ws, &mut counters).unwrap();
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(counters.arms_audited, 1);
     }
-
-    #[test]
-    fn unaudited_logged_op_is_flagged_and_waivable() {
-        let logged = vec!["CreateNode".to_string(), "RepairNode".to_string()];
-        let mut used = Vec::new();
-        let out = check_metadata(
-            "m.rs",
-            GOOD,
-            &logged,
-            &no_waivers(),
-            &mut used,
-            &mut Stats::default(),
-        );
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("RepairNode"));
-
-        let waivers = AnalyzeWaivers::parse(
-            "durability RepairNode -- append happens inside repair_node_locked\n",
-        )
-        .unwrap();
-        let mut used = Vec::new();
-        let mut stats = Stats::default();
-        let out = check_metadata("m.rs", GOOD, &logged, &waivers, &mut used, &mut stats);
-        assert!(out.is_empty());
-        assert_eq!(stats.waived, 1);
-        assert_eq!(used.len(), 1);
-    }
-
-    #[test]
-    fn read_only_arms_without_log_are_fine() {
-        // LookupNode acks with no log, but it is not in the logged set.
-        let logged = vec!["CreateNode".to_string()];
-        let mut used = Vec::new();
-        let out = check_metadata(
-            "m.rs",
-            GOOD,
-            &logged,
-            &no_waivers(),
-            &mut used,
-            &mut Stats::default(),
-        );
-        assert!(out.is_empty());
-    }
-
-    const FORWARD_GOOD: &str = "
-        fn handle(&self, body: RequestBody) -> GliderResult<ResponseBody> {
-            match body {
-                RequestBody::ForwardChunk { offset, chain, data } => {
-                    let n = data.len() as u64;
-                    self.store.write(head.block_id, offset, data.clone())?;
-                    if let Some(next) = rest.first() {
-                        peer.call(RequestBody::ForwardChunk { offset, chain: rest, data }).await?;
-                    }
-                    Ok(ResponseBody::Written { n })
-                }
-                other => Err(err(other)),
-            }
-        }
-    ";
 
     #[test]
     fn persist_then_forward_then_ack_is_clean() {
-        let mut used = Vec::new();
-        let out = check_forward_chunk(
-            "s.rs",
-            FORWARD_GOOD,
-            &no_waivers(),
-            &mut used,
-            &mut Stats::default(),
-        );
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn forward_before_persist_is_flagged() {
         let src = "
             fn handle(&self, body: RequestBody) -> GliderResult<ResponseBody> {
                 match body {
                     RequestBody::ForwardChunk { offset, chain, data } => {
-                        peer.call(RequestBody::ForwardChunk { offset, chain: rest, data: data.clone() }).await?;
-                        self.store.write(head.block_id, offset, data)?;
+                        let n = data.len() as u64;
+                        self.store.write(head.block_id, offset, data.clone())?;
+                        if let Some(next) = rest.first() {
+                            peer.call(RequestBody::ForwardChunk { offset, chain: rest, data }).await?;
+                        }
                         Ok(ResponseBody::Written { n })
                     }
                     other => Err(err(other)),
                 }
             }
         ";
-        let mut used = Vec::new();
-        let out = check_forward_chunk(
-            "s.rs",
-            src,
-            &no_waivers(),
-            &mut used,
-            &mut Stats::default(),
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("forwards down the chain"));
+        let ws = Workspace::from_sources(&[(STORAGE, src)]);
+        let out = check_forward_chunk(&ws, &mut Counters::default()).unwrap();
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
-    fn ack_without_any_persist_is_flagged() {
+    fn ack_without_any_persist_and_missing_arm_are_reported() {
         let src = "
             fn handle(&self, body: RequestBody) -> GliderResult<ResponseBody> {
                 match body {
@@ -394,28 +262,13 @@ mod tests {
                 }
             }
         ";
-        let mut used = Vec::new();
-        let out = check_forward_chunk(
-            "s.rs",
-            src,
-            &no_waivers(),
-            &mut used,
-            &mut Stats::default(),
-        );
+        let ws = Workspace::from_sources(&[(STORAGE, src)]);
+        let out = check_forward_chunk(&ws, &mut Counters::default()).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("acks `Written`"));
-    }
 
-    #[test]
-    fn missing_forward_arm_is_reported() {
-        let mut used = Vec::new();
-        let out = check_forward_chunk(
-            "s.rs",
-            "fn handle() {}",
-            &no_waivers(),
-            &mut used,
-            &mut Stats::default(),
-        );
+        let ws = Workspace::from_sources(&[(STORAGE, "fn handle() {}")]);
+        let out = check_forward_chunk(&ws, &mut Counters::default()).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("no `RequestBody::ForwardChunk`"));
     }

@@ -18,12 +18,15 @@
 //! one-time first-touch growth — are waived on the offending line with
 //! `// glider: alloc-ok (justification)`; the justification is
 //! mandatory, an empty one is itself a finding. Markers live in
-//! comments so the lexer's `strip` pass never sees them; the forbidden
-//! tokens are matched on the stripped line so strings and comments
+//! comments, so they are read from the raw source; the forbidden
+//! tokens are matched on the blanked line so strings and comments
 //! cannot false-positive.
 
-use crate::lexer::strip;
-use crate::Finding;
+use crate::workspace::{SourceFile, Workspace};
+use crate::{Counters, Finding};
+
+/// Crates whose sources are scanned for hot-path regions.
+const SCOPE: [&str; 3] = ["crates/net/src", "crates/storage/src", "crates/client/src"];
 
 /// Substrings (stripped source) that mean a per-op allocation.
 const FORBIDDEN: [&str; 7] = [
@@ -40,23 +43,30 @@ const BEGIN: &str = "// glider: hot-path";
 const END: &str = "// glider: end-hot-path";
 const ALLOC_OK: &str = "// glider: alloc-ok";
 
-/// Summary counters for `--report`.
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// Marked regions seen across the scanned files.
-    pub regions: usize,
-    /// Allocation tokens waived with a justified `alloc-ok`.
-    pub waived: usize,
+pub fn check(ws: &Workspace, counters: &mut Counters) -> Vec<Finding> {
+    let mut out: Vec<Finding> = Vec::new();
+    for file in ws.under(&SCOPE) {
+        out.extend(check_file(file, counters));
+    }
+    if counters.hot_regions == 0 {
+        out.push(Finding::new(
+            &SCOPE.join(", "),
+            0,
+            "hot-path pass found no `// glider: hot-path` regions — the markers on the \
+             WriteBlock/ReadBlock/StreamChunk paths have been deleted"
+                .to_string(),
+        ));
+    }
+    out
 }
 
-/// Scans one file. `rel` is the workspace-relative path for findings.
-pub fn check_file(rel: &str, source: &str, stats: &mut Stats) -> Vec<Finding> {
-    let stripped = strip(source);
+fn check_file(file: &SourceFile, counters: &mut Counters) -> Vec<Finding> {
+    let rel = file.rel.as_str();
     let mut out = Vec::new();
     let mut in_region = false;
     let mut region_open_line = 0usize;
 
-    for (idx, (raw, blank)) in source.lines().zip(stripped.lines()).enumerate() {
+    for (idx, (raw, blank)) in file.raw.lines().zip(file.text.lines()).enumerate() {
         let line_no = idx + 1;
         let trimmed = raw.trim_start();
         if let Some(rest) = trimmed.strip_prefix(BEGIN) {
@@ -65,28 +75,28 @@ pub fn check_file(rel: &str, source: &str, stats: &mut Stats) -> Vec<Finding> {
             // `// glider: hot-path-ish` should not open a region.
             if rest.is_empty() || rest.starts_with(' ') || rest.starts_with('(') {
                 if in_region {
-                    out.push(Finding {
-                        file: rel.to_string(),
-                        line: line_no,
-                        message: format!(
+                    out.push(Finding::new(
+                        rel,
+                        line_no,
+                        format!(
                             "nested `{BEGIN}` marker — close the region opened on line \
                              {region_open_line} first"
                         ),
-                    });
+                    ));
                 }
                 in_region = true;
                 region_open_line = line_no;
-                stats.regions += 1;
+                counters.hot_regions += 1;
                 continue;
             }
         }
         if trimmed.starts_with(END) {
             if !in_region {
-                out.push(Finding {
-                    file: rel.to_string(),
-                    line: line_no,
-                    message: format!("stray `{END}` marker with no open hot-path region"),
-                });
+                out.push(Finding::new(
+                    rel,
+                    line_no,
+                    format!("stray `{END}` marker with no open hot-path region"),
+                ));
             }
             in_region = false;
             continue;
@@ -110,37 +120,37 @@ pub fn check_file(rel: &str, source: &str, stats: &mut Stats) -> Vec<Finding> {
                 .map(str::trim)
                 .unwrap_or("");
             if just.is_empty() {
-                out.push(Finding {
-                    file: rel.to_string(),
-                    line: line_no,
-                    message: format!(
+                out.push(Finding::new(
+                    rel,
+                    line_no,
+                    format!(
                         "`{ALLOC_OK}` needs a justification: \
                          `{ALLOC_OK} (why this allocation is fine per-op)`"
                     ),
-                });
+                ));
             } else {
-                stats.waived += hits.len();
+                counters.alloc_waived += hits.len();
             }
             continue;
         }
         for tok in hits {
-            out.push(Finding {
-                file: rel.to_string(),
-                line: line_no,
-                message: format!(
+            out.push(Finding::new(
+                rel,
+                line_no,
+                format!(
                     "`{tok}` inside a `{BEGIN}` region — the data path must not allocate \
                      per op; use the buffer pool, or waive the line with \
                      `{ALLOC_OK} (justification)`"
                 ),
-            });
+            ));
         }
     }
     if in_region {
-        out.push(Finding {
-            file: rel.to_string(),
-            line: region_open_line,
-            message: format!("hot-path region opened here is never closed with `{END}`"),
-        });
+        out.push(Finding::new(
+            rel,
+            region_open_line,
+            format!("hot-path region opened here is never closed with `{END}`"),
+        ));
     }
     out
 }
@@ -148,6 +158,12 @@ pub fn check_file(rel: &str, source: &str, stats: &mut Stats) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(src: &str) -> (Vec<Finding>, Counters) {
+        let mut counters = Counters::default();
+        let out = check_file(&SourceFile::new("a.rs", src), &mut counters);
+        (out, counters)
+    }
 
     #[test]
     fn clean_region_passes_and_counts() {
@@ -157,31 +173,13 @@ fn write(buf: &mut BytesMut) {
     buf.extend_from_slice(b\"x\");
 }
 // glider: end-hot-path
-";
-        let mut stats = Stats::default();
-        let out = check_file("a.rs", src, &mut stats);
-        assert!(out.is_empty(), "{out:?}");
-        assert_eq!(stats.regions, 1);
-    }
-
-    #[test]
-    fn forbidden_tokens_inside_region_are_flagged() {
-        let src = "
-// glider: hot-path
-fn write(data: &[u8]) {
-    let copy = data.to_vec();
-    let msg = format!(\"{}\", copy.len());
-}
-// glider: end-hot-path
 fn cold() {
     let fine = data.to_vec();
 }
 ";
-        let out = check_file("a.rs", src, &mut Stats::default());
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out[0].message.contains(".to_vec("));
-        assert_eq!(out[0].line, 4);
-        assert!(out[1].message.contains("format!"));
+        let (out, counters) = run(src);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(counters.hot_regions, 1);
     }
 
     #[test]
@@ -194,39 +192,36 @@ fn write() {
 }
 // glider: end-hot-path
 ";
-        let out = check_file("a.rs", src, &mut Stats::default());
+        let (out, _) = run(src);
         assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
-    fn alloc_ok_waives_with_justification_only() {
+    fn allocations_in_test_code_are_out_of_scope() {
+        let src = "
+// glider: hot-path
+fn write() {}
+#[cfg(test)]
+mod tests {
+    fn helper() { let v = Vec::new(); }
+}
+// glider: end-hot-path
+";
+        let (out, _) = run(src);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn justified_alloc_ok_waives_and_is_counted() {
         let src = "
 // glider: hot-path
 fn write(piece: Bytes) {
     let kept = piece.clone(); // glider: alloc-ok (Bytes refcount bump, not a copy)
-    let bad = piece.clone(); // glider: alloc-ok ()
 }
 // glider: end-hot-path
 ";
-        let mut stats = Stats::default();
-        let out = check_file("a.rs", src, &mut stats);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("justification"));
-        assert_eq!(out[0].line, 5);
-        assert_eq!(stats.waived, 1);
-    }
-
-    #[test]
-    fn unclosed_region_and_stray_end_are_findings() {
-        let src = "
-// glider: end-hot-path
-// glider: hot-path
-fn write() {}
-";
-        let out = check_file("a.rs", src, &mut Stats::default());
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out[0].message.contains("stray"));
-        assert!(out[1].message.contains("never closed"));
-        assert_eq!(out[1].line, 3);
+        let (out, counters) = run(src);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(counters.alloc_waived, 1);
     }
 }

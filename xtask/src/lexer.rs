@@ -58,7 +58,8 @@ pub fn strip(source: &str) -> String {
             continue;
         }
         // Plain and byte strings: "...", b"..., c"...".
-        if c == '"' || ((c == 'b' || c == 'c') && b.get(i + 1) == Some(&'"') && !ident_before(&b, i))
+        if c == '"'
+            || ((c == 'b' || c == 'c') && b.get(i + 1) == Some(&'"') && !ident_before(&b, i))
         {
             let start = i;
             i += if c == '"' { 1 } else { 2 };
@@ -220,56 +221,6 @@ pub fn blank_cfg_test(stripped: &str) -> String {
     chars.into_iter().collect()
 }
 
-/// Returns the brace-delimited body (including the braces) of the first
-/// `fn <name>` in `stripped`, as a byte-offset range.
-pub fn fn_body_range(stripped: &str, name: &str) -> Option<(usize, usize)> {
-    let bytes = stripped.as_bytes();
-    let pat = format!("fn {name}");
-    let mut search_from = 0;
-    loop {
-        let rel = stripped[search_from..].find(&pat)?;
-        let at = search_from + rel;
-        // Word boundaries: not `xfn name` and not `fn namex`.
-        let before_ok = at == 0 || !is_ident_char(bytes[at - 1] as char);
-        let after = at + pat.len();
-        let after_ok = after >= bytes.len() || !is_ident_char(bytes[after] as char);
-        if !(before_ok && after_ok) {
-            search_from = at + 1;
-            continue;
-        }
-        // The body is the first `{` past the parameter list.
-        let mut j = after;
-        let mut paren = 0i32;
-        let chars: Vec<char> = stripped.chars().collect();
-        while j < chars.len() {
-            match chars[j] {
-                '(' => paren += 1,
-                ')' => paren -= 1,
-                '{' if paren == 0 => break,
-                ';' if paren == 0 => return None, // a declaration, no body
-                _ => {}
-            }
-            j += 1;
-        }
-        let start = j;
-        let mut depth = 0usize;
-        while j < chars.len() {
-            match chars[j] {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((start, j + 1));
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        return Some((start, chars.len()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,15 +274,5 @@ mod tests {
         let out = blank_cfg_test(&strip(src));
         assert_eq!(out.matches(".unwrap(").count(), 1);
         assert!(out.contains("fn b"));
-    }
-
-    #[test]
-    fn fn_body_extraction() {
-        let src = "fn foo(a: u8) -> bool { a > { 1 } } fn foobar() { panic!() }";
-        let (s, e) = fn_body_range(src, "foo").unwrap();
-        assert_eq!(&src[s..e], "{ a > { 1 } }");
-        let (s, e) = fn_body_range(src, "foobar").unwrap();
-        assert!(src[s..e].contains("panic"));
-        assert!(fn_body_range(src, "missing").is_none());
     }
 }

@@ -1,41 +1,46 @@
-//! Glider's workspace analyzer, as a library so the passes are testable
+//! Glider's source checker, as a library so the passes are testable
 //! against seeded-violation fixture corpora (see `xtask/tests/`).
 //!
-//! Two entry points:
-//!
-//! - [`lint`] — the fast line-oriented passes (panic-path, lock-order,
-//!   async-hygiene, transport-registry, enum exhaustiveness);
-//! - [`analyze`] — the semantic passes built on the token-tree model in
-//!   [`tokens`]: protocol conformance ([`protocol`]), durability order
-//!   ([`durability`]), hot-path allocation ([`hotpath`]), and the
-//!   lock-order graph ([`lockgraph`]).
+//! One entry point, [`check`], over one source model
+//! ([`workspace::Workspace`]: every in-scope file read, blanked and
+//! tokenised once). Each pass in [`PASSES`] is a function of that model
+//! returning findings and bumping its [`Counters`].
 //!
 //! Everything is dependency-free plain-text analysis over a blanked
-//! token stream (see [`lexer`]): it builds and runs offline, anywhere
-//! `rustc` does, and stays fast enough for a pre-commit hook.
+//! token stream (see [`lexer`], [`tokens`]): it builds and runs offline,
+//! anywhere `rustc` does, and stays fast enough for a pre-commit hook.
 
 pub mod asynclint;
 pub mod durability;
-pub mod exhaustive;
 pub mod hotpath;
 pub mod lexer;
-pub mod lockgraph;
 pub mod locks;
 pub mod panics;
 pub mod protocol;
 pub mod tokens;
 pub mod transports;
 pub mod waivers;
+pub mod workspace;
 
-use std::fs;
 use std::path::{Path, PathBuf};
+use workspace::Workspace;
 
-/// One lint finding. `line` 0 means "whole file".
-#[derive(Debug)]
+/// One finding. `line` 0 means "whole file".
+#[derive(Debug, Clone)]
 pub struct Finding {
     pub file: String,
     pub line: usize,
     pub message: String,
+}
+
+impl Finding {
+    pub fn new(file: &str, line: usize, message: String) -> Finding {
+        Finding {
+            file: file.to_string(),
+            line,
+            message,
+        }
+    }
 }
 
 impl std::fmt::Display for Finding {
@@ -48,412 +53,90 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Walks up from the current directory to the `Cargo.toml` that declares
-/// `[workspace]`.
-pub fn workspace_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
-/// Reads a workspace-relative file, turning I/O failure into a finding
-/// (a lint that silently skips a missing scope file enforces nothing).
-pub fn read_rel(root: &Path, rel: &str) -> Result<String, Finding> {
-    fs::read_to_string(root.join(rel)).map_err(|e| Finding {
-        file: rel.to_string(),
-        line: 0,
-        message: format!("cannot read lint scope file: {e}"),
-    })
-}
-
-/// Recursively collects `.rs` files under `dir`, as workspace-relative
-/// path strings (sorted for deterministic output).
-pub fn rs_files(root: &Path, rel_dir: &str) -> Vec<String> {
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-        let Ok(entries) = fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
-    }
-    let mut paths = Vec::new();
-    walk(&root.join(rel_dir), &mut paths);
-    let mut rels: Vec<String> = paths
-        .into_iter()
-        .filter_map(|p| {
-            p.strip_prefix(root)
-                .ok()
-                .map(|r| r.to_string_lossy().replace('\\', "/"))
-        })
-        .collect();
-    rels.sort();
-    rels
-}
-
-// ---- `lint`: the line-oriented passes ----
-
-/// Enum-classification functions that must stay variant-exhaustive.
-/// The `RequestBody` tables that used to live here (`is_idempotent`,
-/// `op_kind`, `wal_class`) are now covered by the protocol-conformance
-/// pass, which derives one model and cross-checks all four tables.
-const EXHAUSTIVE_RULES: [exhaustive::Rule<'static>; 1] = [exhaustive::Rule {
-    enum_name: "ErrorCode",
-    enum_file: "crates/proto/src/error.rs",
-    fn_name: "is_retryable",
-    fn_file: "crates/proto/src/error.rs",
-}];
-
-/// Runs the line-oriented lint passes; empty result means clean.
-pub fn lint(root: &Path) -> Vec<Finding> {
-    let mut findings: Vec<Finding> = Vec::new();
-    findings.extend(exhaustiveness_pass(root));
-    findings.extend(panic_pass(root));
-    findings.extend(lock_pass(root).0);
-    findings.extend(async_pass(root));
-    findings.extend(transports_pass(root));
-    findings
-}
-
-fn exhaustiveness_pass(root: &Path) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for rule in &EXHAUSTIVE_RULES {
-        let enum_src = match read_rel(root, rule.enum_file) {
-            Ok(s) => lexer::strip(&s),
-            Err(f) => {
-                out.push(f);
-                continue;
-            }
-        };
-        let fn_src = match read_rel(root, rule.fn_file) {
-            Ok(s) => lexer::strip(&s),
-            Err(f) => {
-                out.push(f);
-                continue;
-            }
-        };
-        out.extend(exhaustive::check_rule(rule, &enum_src, &fn_src));
-    }
-    out
-}
-
-/// Request-handling and client-library code covered by the panic-path
-/// lint: servers must answer with `GliderError`, and the client must
-/// surface failures to its caller rather than abort the application.
-fn panic_scope(root: &Path) -> Vec<String> {
-    let mut scope = Vec::new();
-    scope.extend(rs_files(root, "crates/metadata/src"));
-    scope.extend(rs_files(root, "crates/storage/src"));
-    scope.extend(rs_files(root, "crates/active/src"));
-    scope.extend(rs_files(root, "crates/net/src"));
-    scope.extend(rs_files(root, "crates/client/src"));
-    scope
-}
-
-fn panic_pass(root: &Path) -> Vec<Finding> {
-    let waiver_text = match read_rel(root, "xtask/lint-waivers.txt") {
-        Ok(t) => t,
-        Err(f) => return vec![f],
-    };
-    let waivers = match waivers::Waivers::parse(&waiver_text) {
-        Ok(w) => w,
-        Err(msg) => {
-            return vec![Finding {
-                file: "xtask/lint-waivers.txt".to_string(),
-                line: 0,
-                message: msg,
-            }]
-        }
-    };
-
-    let mut out = Vec::new();
-    let mut counts: Vec<(String, Vec<panics::PanicSite>)> = Vec::new();
-    for rel in panic_scope(root) {
-        let src = match read_rel(root, &rel) {
-            Ok(s) => s,
-            Err(f) => {
-                out.push(f);
-                continue;
-            }
-        };
-        out.extend(panics::findings_for_file(&rel, &src, |kind| {
-            waivers.allowance(&rel, kind)
-        }));
-        counts.push((rel.clone(), panics::scan(&src)));
-    }
-    // Shrink-only ratchet: a waiver larger than reality is itself an error.
-    out.extend(waivers.stale_findings(|path, kind| {
-        counts
-            .iter()
-            .find(|(p, _)| p == path)
-            .map_or(0, |(_, sites)| {
-                sites.iter().filter(|s| s.kind == kind).count()
-            })
-    }));
-    out
-}
-
-/// Lock-order scan over the lock-using crates; also returns the nested
-/// acquisition edges for the lock-graph pass.
-fn lock_pass(root: &Path) -> (Vec<Finding>, Vec<(String, locks::Edge)>) {
-    let mut out = Vec::new();
-    let mut edges = Vec::new();
-    for dir in [
-        "crates/metadata/src",
-        "crates/storage/src",
-        "crates/net/src",
-    ] {
-        for rel in rs_files(root, dir) {
-            match read_rel(root, &rel) {
-                Ok(src) => {
-                    let (f, e) = locks::scan_with_edges(&rel, &src);
-                    out.extend(f);
-                    edges.extend(e.into_iter().map(|e| (rel.clone(), e)));
-                }
-                Err(f) => out.push(f),
-            }
-        }
-    }
-    (out, edges)
-}
-
-/// Cross-checks `impl Transport for …` against the `TRANSPORTS` registry
-/// in `glider-net` (an unregistered transport is unreachable dead code).
-fn transports_pass(root: &Path) -> Vec<Finding> {
-    let mut files = Vec::new();
-    let mut out = Vec::new();
-    for rel in rs_files(root, "crates/net/src") {
-        match read_rel(root, &rel) {
-            Ok(src) => files.push((rel, src)),
-            Err(f) => out.push(f),
-        }
-    }
-    if files.is_empty() {
-        out.push(Finding {
-            file: "crates/net/src".to_string(),
-            line: 0,
-            message: "transport-registry pass found no sources to scan".to_string(),
-        });
-    }
-    out.extend(transports::check(&files));
-    out
-}
-
-fn async_pass(root: &Path) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let crates_dir = root.join("crates");
-    let Ok(entries) = fs::read_dir(&crates_dir) else {
-        return vec![Finding {
-            file: "crates".to_string(),
-            line: 0,
-            message: "cannot enumerate crates/ for the async-hygiene pass".to_string(),
-        }];
-    };
-    let mut crate_dirs: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let rel_src = format!(
-            "{}/src",
-            dir.strip_prefix(root)
-                .unwrap_or(&dir)
-                .to_string_lossy()
-                .replace('\\', "/")
-        );
-        for rel in rs_files(root, &rel_src) {
-            match read_rel(root, &rel) {
-                Ok(src) => out.extend(asynclint::scan(&rel, &src)),
-                Err(f) => out.push(f),
-            }
-        }
-    }
-    out
-}
-
-// ---- `analyze`: the semantic passes ----
-
-/// Per-pass counters surfaced by `cargo xtask analyze --report`.
+/// What the passes saw, printed after every run: a counter stuck at
+/// zero means its pass is silently matching nothing.
 #[derive(Debug, Default)]
-pub struct AnalyzeReport {
-    /// Derived protocol model (variant/opcode/table counts).
-    pub model: protocol::Model,
-    pub durability: durability::Stats,
-    pub hotpath: hotpath::Stats,
-    pub lockgraph: lockgraph::Stats,
-    /// Entries in `xtask/analyze-waivers.txt`.
-    pub analyze_waivers: usize,
-    /// Entries in `xtask/lint-waivers.txt` (the panic-path ratchet).
-    pub panic_waivers: usize,
+pub struct Counters {
+    pub req_variants: usize,
+    pub resp_variants: usize,
+    pub req_opcodes: usize,
+    pub resp_opcodes: usize,
+    /// Request variants `wal_class` calls `Logged`.
+    pub logged_ops: usize,
+    /// Logged ops (plus `ForwardChunk`) with at least one audited arm.
+    pub arms_audited: usize,
+    /// Durability findings suppressed by a waiver.
+    pub durability_waived: usize,
+    /// `// glider: hot-path` regions seen.
+    pub hot_regions: usize,
+    /// Allocation tokens waived with a justified `alloc-ok`.
+    pub alloc_waived: usize,
+    /// `LockRank` variants, parsed from `glider-util`.
+    pub lock_ranks: usize,
+    /// `OrderedMutex::new` sites audited.
+    pub lock_declarations: usize,
+    /// Nested lock acquisitions seen, legal or not.
+    pub lock_edges: usize,
+    /// Entries in the waiver list.
+    pub waivers: usize,
 }
 
-/// Crates whose sources are scanned for hot-path regions.
-const HOTPATH_DIRS: [&str; 3] = ["crates/net/src", "crates/storage/src", "crates/client/src"];
+pub type Pass = fn(&Workspace, &mut Counters) -> Vec<Finding>;
 
-/// Crates scanned for `OrderedMutex::new` declarations.
-const LOCK_DECL_DIRS: [&str; 4] = [
-    "crates/metadata/src",
-    "crates/storage/src",
-    "crates/net/src",
-    "crates/util/src",
+pub const PASSES: [(&str, Pass); 7] = [
+    ("panic-path", panics::check),
+    ("async-hygiene", asynclint::check),
+    ("transport-registry", transports::check),
+    ("lock-order", locks::check),
+    ("protocol", protocol::check),
+    ("durability", durability::check),
+    ("hot-path", hotpath::check),
 ];
 
-/// Runs the four semantic passes over the workspace at `root`.
-pub fn analyze(root: &Path) -> (Vec<Finding>, AnalyzeReport) {
-    let mut out = Vec::new();
-    let mut report = AnalyzeReport::default();
+/// The repository root as seen from the current directory.
+pub fn workspace_root() -> Option<PathBuf> {
+    root_from(&std::env::current_dir().ok()?)
+}
 
-    let analyze_waivers = match read_rel(root, "xtask/analyze-waivers.txt")
-        .and_then(|t| {
-            waivers::AnalyzeWaivers::parse(&t).map_err(|msg| Finding {
-                file: "xtask/analyze-waivers.txt".to_string(),
-                line: 0,
-                message: msg,
-            })
-        }) {
-        Ok(w) => w,
-        Err(f) => {
-            out.push(f);
-            waivers::AnalyzeWaivers::default()
-        }
+/// Walks up from `start` to the ancestor that holds `xtask/Cargo.toml`.
+/// (Not "the nearest `[workspace]` manifest": from inside `crates/` that
+/// is the runtime workspace, one level too deep.)
+fn root_from(start: &Path) -> Option<PathBuf> {
+    let root = start
+        .ancestors()
+        .find(|dir| dir.join("xtask/Cargo.toml").is_file())?;
+    Some(root.to_path_buf())
+}
+
+/// Runs every pass; an empty result means clean.
+pub fn check(ws: &Workspace) -> (Vec<Finding>, Counters) {
+    let mut counters = Counters {
+        waivers: ws.waivers.len(),
+        ..Counters::default()
     };
-    report.analyze_waivers = analyze_waivers.len();
-    let mut used: Vec<(String, String)> = Vec::new();
+    let mut findings = ws.load_findings.clone();
+    for (_, pass) in PASSES {
+        findings.extend(pass(ws, &mut counters));
+    }
+    // The waiver ratchet: every waiver must have earned its keep.
+    findings.extend(ws.waivers.stale());
+    (findings, counters)
+}
 
-    // Pass 1: protocol conformance.
-    let mut sources: Vec<(&str, String)> = Vec::new();
-    for rel in [
-        "crates/proto/src/message.rs",
-        "crates/net/src/rpc.rs",
-        "crates/net/src/retry.rs",
-        "crates/metadata/src/wal.rs",
-        "crates/proto/tests/golden_wire.rs",
-        "crates/metadata/src/lib.rs",
-        "crates/storage/src/server.rs",
-        "crates/util/src/lockorder.rs",
-    ] {
-        match read_rel(root, rel) {
-            Ok(s) => sources.push((rel, s)),
-            Err(f) => out.push(f),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_directory_resolves_the_same_root() {
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+        for start in [".", "crates/net", "xtask"] {
+            assert_eq!(
+                root_from(&repo.join(start)).as_deref(),
+                Some(repo),
+                "from {start}"
+            );
         }
+        assert_eq!(root_from(Path::new("/")), None);
     }
-    let src = |rel: &str| {
-        sources
-            .iter()
-            .find(|(r, _)| *r == rel)
-            .map(|(_, s)| s.as_str())
-            .unwrap_or("")
-    };
-    let golden_files: Vec<String> = fs::read_dir(root.join("crates/proto/tests/golden"))
-        .map(|rd| {
-            rd.flatten()
-                .filter_map(|e| e.file_name().into_string().ok())
-                .collect()
-        })
-        .unwrap_or_default();
-    let inputs = protocol::Inputs {
-        message_src: src("crates/proto/src/message.rs"),
-        message_file: "crates/proto/src/message.rs",
-        op_kind_src: src("crates/net/src/rpc.rs"),
-        op_kind_file: "crates/net/src/rpc.rs",
-        op_class_src: src("crates/net/src/retry.rs"),
-        op_class_file: "crates/net/src/retry.rs",
-        wal_class_src: src("crates/metadata/src/wal.rs"),
-        wal_class_file: "crates/metadata/src/wal.rs",
-        golden_files: &golden_files,
-        golden_tests_src: src("crates/proto/tests/golden_wire.rs"),
-        golden_tests_file: "crates/proto/tests/golden_wire.rs",
-    };
-    let (findings, model) = protocol::check(&inputs);
-    out.extend(findings);
-
-    // Pass 2: durability order, driven by the derived `wal_class` table.
-    let logged = model.logged_variants();
-    out.extend(durability::check_metadata(
-        "crates/metadata/src/lib.rs",
-        src("crates/metadata/src/lib.rs"),
-        &logged,
-        &analyze_waivers,
-        &mut used,
-        &mut report.durability,
-    ));
-    out.extend(durability::check_forward_chunk(
-        "crates/storage/src/server.rs",
-        src("crates/storage/src/server.rs"),
-        &analyze_waivers,
-        &mut used,
-        &mut report.durability,
-    ));
-    report.model = model;
-
-    // Pass 3: hot-path allocation lint.
-    for dir in HOTPATH_DIRS {
-        for rel in rs_files(root, dir) {
-            match read_rel(root, &rel) {
-                Ok(s) => out.extend(hotpath::check_file(&rel, &s, &mut report.hotpath)),
-                Err(f) => out.push(f),
-            }
-        }
-    }
-    if report.hotpath.regions == 0 {
-        out.push(Finding {
-            file: HOTPATH_DIRS.join(", "),
-            line: 0,
-            message: "hot-path pass found no `// glider: hot-path` regions — the markers \
-                      on the WriteBlock/ReadBlock/StreamChunk paths have been deleted"
-                .to_string(),
-        });
-    }
-
-    // Pass 4: lock-order graph.
-    out.extend(lockgraph::check_ranks(
-        "crates/util/src/lockorder.rs",
-        src("crates/util/src/lockorder.rs"),
-        &mut report.lockgraph,
-    ));
-    for dir in LOCK_DECL_DIRS {
-        for rel in rs_files(root, dir) {
-            match read_rel(root, &rel) {
-                Ok(s) => out.extend(lockgraph::check_declarations(
-                    &rel,
-                    &s,
-                    &analyze_waivers,
-                    &mut used,
-                    &mut report.lockgraph,
-                )),
-                Err(f) => out.push(f),
-            }
-        }
-    }
-    // `lint` reports the per-site ordering violations; analyze consumes
-    // only the edges for graph-level cycle detection.
-    let (_site_findings, edges) = lock_pass(root);
-    out.extend(lockgraph::check_cycles(&edges, &mut report.lockgraph));
-
-    // The waiver ratchet: every analyze waiver must have earned its keep.
-    out.extend(analyze_waivers.stale(&used));
-
-    if let Ok(t) = read_rel(root, "xtask/lint-waivers.txt") {
-        if let Ok(w) = waivers::Waivers::parse(&t) {
-            report.panic_waivers = w.len();
-        }
-    }
-
-    (out, report)
 }

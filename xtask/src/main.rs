@@ -1,107 +1,51 @@
-//! `cargo xtask` — workspace automation.
-//!
-//! `cargo xtask lint` runs the fast line-oriented passes (panic-path,
-//! lock-order, async-hygiene, transport-registry, enum exhaustiveness);
-//! `cargo xtask analyze` runs the semantic passes (protocol
-//! conformance, durability order, hot-path allocation, lock-order
-//! graph) built on the token-tree model. Both are dependency-free and
-//! exit non-zero on any finding; see the `xtask` library crate for the
-//! passes themselves.
+//! `cargo xtask check` — the source checks: panic-path, async-hygiene,
+//! transport-registry, lock-order, protocol, durability and hot-path
+//! passes over one token-tree model of the workspace. Dependency-free;
+//! exits 0 when clean, 1 on any finding, 2 on a usage error. See the
+//! `xtask` library crate for the passes themselves.
 
 use std::process::ExitCode;
-use xtask::{analyze, lint, workspace_root, Finding};
+use xtask::workspace::Workspace;
+use xtask::{check, workspace_root, PASSES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => run_lint(),
-        Some("analyze") => run_analyze(args.iter().any(|a| a == "--report")),
-        _ => {
-            eprintln!("usage: cargo xtask <lint|analyze> [--report]");
-            eprintln!();
-            eprintln!("  lint     run the line-oriented source passes:");
-            eprintln!("           exhaustiveness (ErrorCode classification),");
-            eprintln!("           panic-path (server + client request handling),");
-            eprintln!("           lock-order (declared hierarchy, per use site),");
-            eprintln!("           async-hygiene (blocking calls / sync locks in async),");
-            eprintln!("           transport-registry (every Transport impl dispatchable)");
-            eprintln!("  analyze  run the semantic conformance passes:");
-            eprintln!("           protocol (opcodes, decode round-trip, behavior tables,");
-            eprintln!("           golden fixtures), durability (persist-before-ack),");
-            eprintln!("           hotpath (allocation-free marked regions),");
-            eprintln!("           lockgraph (rank table sync, declarations, cycles)");
-            eprintln!("           --report also prints pass counters and the");
-            eprintln!("           waiver burndown");
-            ExitCode::from(2)
-        }
+    if args != ["check"] {
+        eprintln!("usage: cargo xtask check");
+        return ExitCode::from(2);
     }
-}
-
-fn run_lint() -> ExitCode {
     let Some(root) = workspace_root() else {
-        eprintln!("error: could not find the workspace root (Cargo.toml with [workspace])");
+        eprintln!("error: could not find the repository root (the directory holding xtask/)");
         return ExitCode::from(2);
     };
-    let findings = lint(&root);
-    if findings.is_empty() {
-        println!(
-            "xtask lint: clean (exhaustiveness, panic-path, lock-order, async-hygiene, \
-             transport-registry)"
-        );
-        ExitCode::SUCCESS
-    } else {
-        fail("lint", &findings)
-    }
-}
+    let (findings, c) = check(&Workspace::load(&root));
+    println!(
+        "protocol:   {} request / {} response variants, {} / {} opcodes, {} logged ops",
+        c.req_variants, c.resp_variants, c.req_opcodes, c.resp_opcodes, c.logged_ops
+    );
+    println!(
+        "durability: {} handler arms audited, {} finding(s) waived",
+        c.arms_audited, c.durability_waived
+    );
+    println!(
+        "hot-path:   {} marked region(s), {} allocation(s) waived inline",
+        c.hot_regions, c.alloc_waived
+    );
+    println!(
+        "lock-order: {} ranks, {} OrderedMutex declaration(s), {} nesting edge(s)",
+        c.lock_ranks, c.lock_declarations, c.lock_edges
+    );
+    println!("waivers:    {} (the list is shrink-only)", c.waivers);
 
-fn run_analyze(report: bool) -> ExitCode {
-    let Some(root) = workspace_root() else {
-        eprintln!("error: could not find the workspace root (Cargo.toml with [workspace])");
-        return ExitCode::from(2);
-    };
-    let (findings, stats) = analyze(&root);
-    if report {
-        println!("protocol:   {} request / {} response variants, {} / {} opcodes, {} logged ops",
-            stats.model.req_variants.len(),
-            stats.model.resp_variants.len(),
-            stats.model.req_opcodes.len(),
-            stats.model.resp_opcodes.len(),
-            stats.model.logged_variants().len(),
-        );
-        println!(
-            "durability: {} handler arms audited, {} finding(s) waived",
-            stats.durability.audited, stats.durability.waived
-        );
-        println!(
-            "hotpath:    {} marked region(s), {} allocation(s) waived inline",
-            stats.hotpath.regions, stats.hotpath.waived
-        );
-        println!(
-            "lockgraph:  {} ranks, {} OrderedMutex declaration(s), {} nesting edge(s), \
-             {} cycle(s)",
-            stats.lockgraph.ranks,
-            stats.lockgraph.declarations,
-            stats.lockgraph.edges,
-            stats.lockgraph.cycles
-        );
-        println!(
-            "waivers:    {} analyze, {} panic-path (both lists are shrink-only)",
-            stats.analyze_waivers, stats.panic_waivers
-        );
-    }
     if findings.is_empty() {
-        println!("xtask analyze: clean (protocol, durability, hotpath, lockgraph)");
-        ExitCode::SUCCESS
-    } else {
-        fail("analyze", &findings)
+        let passes: Vec<&str> = PASSES.iter().map(|(name, _)| *name).collect();
+        println!("xtask check: clean ({})", passes.join(", "));
+        return ExitCode::SUCCESS;
     }
-}
-
-fn fail(what: &str, findings: &[Finding]) -> ExitCode {
-    for f in findings {
+    for f in &findings {
         eprintln!("{f}");
     }
     eprintln!();
-    eprintln!("xtask {what}: {} finding(s)", findings.len());
+    eprintln!("xtask check: {} finding(s)", findings.len());
     ExitCode::FAILURE
 }

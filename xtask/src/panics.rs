@@ -1,162 +1,86 @@
-//! Panic-path lint: server request-handling code must return
-//! `GliderResult` errors, never abort. Flags `.unwrap(`, `.expect(`,
+//! Panic-path pass: request-handling and client-library code must
+//! return `GliderResult` errors, never abort — servers answer with a
+//! `GliderError`, and the client surfaces failures to its caller rather
+//! than taking the application down. Flags `.unwrap(`, `.expect(`,
 //! `panic!`, and direct slice/array indexing in the in-scope files.
-//! Existing debt is tracked in `xtask/lint-waivers.txt`, which may only
-//! shrink (see [`crate::waivers`]).
+//! Zero-tolerance: the legacy debt was paid off, so there is no waiver.
 
-use crate::lexer::{blank_cfg_test, is_ident_char, line_of, strip};
-use crate::Finding;
+use crate::lexer::is_ident_char;
+use crate::workspace::{SourceFile, Workspace};
+use crate::{Counters, Finding};
 
-/// One panic-capable site category, matching the waiver-file `kind` column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PanicKind {
-    Unwrap,
-    Expect,
-    Panic,
-    Indexing,
+const SCOPE: [&str; 5] = [
+    "crates/metadata/src",
+    "crates/storage/src",
+    "crates/active/src",
+    "crates/net/src",
+    "crates/client/src",
+];
+
+pub fn check(ws: &Workspace, _: &mut Counters) -> Vec<Finding> {
+    ws.under(&SCOPE).flat_map(scan).collect()
 }
 
-impl PanicKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PanicKind::Unwrap => "unwrap",
-            PanicKind::Expect => "expect",
-            PanicKind::Panic => "panic",
-            PanicKind::Indexing => "indexing",
-        }
-    }
+/// Panic-capable sites outside `#[cfg(test)]`, in line order.
+fn scan(file: &SourceFile) -> Vec<Finding> {
+    let text = &file.text;
+    let bytes = text.as_bytes();
+    let mut sites: Vec<(usize, &str)> = Vec::new();
 
-    pub fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "unwrap" => PanicKind::Unwrap,
-            "expect" => PanicKind::Expect,
-            "panic" => PanicKind::Panic,
-            "indexing" => PanicKind::Indexing,
-            _ => return None,
-        })
-    }
-}
-
-/// A panic-capable site found in non-test code.
-#[derive(Debug)]
-pub struct PanicSite {
-    pub kind: PanicKind,
-    pub line: usize,
-}
-
-/// Scans one file's source for panic-capable sites outside `#[cfg(test)]`.
-pub fn scan(source: &str) -> Vec<PanicSite> {
-    let text = blank_cfg_test(&strip(source));
-    let mut sites = Vec::new();
-
+    // `.unwrap_or(…)`/`.expect_err(…)` don't match: the `(` is part of
+    // the pattern. `panic!` must start a word (not `dont_panic!`);
+    // `assert!`-family macros are allowed: they state invariants, and
+    // clippy covers their misuse.
     for (pat, kind) in [
-        (".unwrap(", PanicKind::Unwrap),
-        (".expect(", PanicKind::Expect),
+        (".unwrap(", "unwrap"),
+        (".expect(", "expect"),
+        ("panic!", "panic"),
     ] {
-        let mut from = 0;
-        while let Some(rel) = text[from..].find(pat) {
-            let at = from + rel;
-            sites.push(PanicSite {
-                kind,
-                line: line_of(&text, at),
-            });
-            from = at + pat.len();
+        for (at, _) in text.match_indices(pat) {
+            if kind != "panic" || at == 0 || !is_ident_char(bytes[at - 1] as char) {
+                sites.push((at, kind));
+            }
         }
-    }
-
-    // `panic!` not preceded by an identifier char (excludes e.g.
-    // `dont_panic!`). `assert!`-family macros are allowed: they state
-    // invariants, and clippy covers their misuse.
-    let mut from = 0;
-    while let Some(rel) = text[from..].find("panic!") {
-        let at = from + rel;
-        let preceded = at > 0 && is_ident_char(text.as_bytes()[at - 1] as char);
-        if !preceded {
-            sites.push(PanicSite {
-                kind: PanicKind::Panic,
-                line: line_of(&text, at),
-            });
-        }
-        from = at + "panic!".len();
     }
 
     // Indexing: `[` immediately preceded by an identifier char, `)`, or
     // `]` is an index expression (`x[i]`, `f()[i]`, `x[i][j]`). Attribute
-    // `#[`, macro `vec![`, slice type `&[`, and array literals are not
-    // matched because their preceding char differs. Whitespace before `[`
-    // is deliberately NOT skipped: `foo [i]` is not idiomatic in this
-    // tree, and skipping would re-introduce `impl [T]`-style false hits.
-    let bytes = text.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'[' || i == 0 {
-            continue;
-        }
-        let prev = bytes[i - 1] as char;
-        if is_ident_char(prev) || prev == ')' || prev == ']' {
-            // Slice patterns (`let [a, b] = ..`) and generic array types
-            // can't follow these chars, so this is an index expression.
-            sites.push(PanicSite {
-                kind: PanicKind::Indexing,
-                line: line_of(&text, i),
-            });
+    // `#[`, macro `vec![`, slice type `&[`, array literals and slice
+    // patterns (`let [a, b] = ..`) are not matched because their
+    // preceding char differs. Whitespace before `[` is deliberately NOT
+    // skipped: `foo [i]` is not idiomatic in this tree, and skipping
+    // would re-introduce `impl [T]`-style false hits.
+    for (i, pair) in bytes.windows(2).enumerate() {
+        let prev = pair[0] as char;
+        if pair[1] == b'[' && (is_ident_char(prev) || prev == ')' || prev == ']') {
+            sites.push((i + 1, "indexing"));
         }
     }
 
-    sites.sort_by_key(|s| s.line);
+    sites.sort_unstable();
     sites
-}
-
-/// Runs the scan over a file and converts unwaived sites into findings.
-/// `waived` is the per-kind allowance for this file; each waived count
-/// suppresses that many findings of the kind (oldest lines first).
-pub fn findings_for_file(
-    rel_path: &str,
-    source: &str,
-    mut waived: impl FnMut(PanicKind) -> usize,
-) -> Vec<Finding> {
-    let sites = scan(source);
-    let mut out = Vec::new();
-    for kind in [
-        PanicKind::Unwrap,
-        PanicKind::Expect,
-        PanicKind::Panic,
-        PanicKind::Indexing,
-    ] {
-        let of_kind: Vec<&PanicSite> = sites.iter().filter(|s| s.kind == kind).collect();
-        let allowance = waived(kind);
-        if of_kind.len() > allowance {
-            for site in &of_kind[allowance..] {
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: site.line,
-                    message: format!(
-                        "panic-capable `{}` in request-handling code; return a \
-                         GliderError instead (or waive in xtask/lint-waivers.txt \
-                         with a justification)",
-                        kind.as_str()
-                    ),
-                });
-            }
-        }
-    }
-    out
+        .into_iter()
+        .map(|(at, kind)| {
+            file.finding_at(
+                at,
+                format!(
+                    "panic-capable `{kind}` in request-handling code; return a GliderError \
+                     instead"
+                ),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<PanicKind> {
-        scan(src).into_iter().map(|s| s.kind).collect()
-    }
-
-    #[test]
-    fn flags_unwrap_expect_panic() {
-        let src = "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"boom\"); }";
-        assert_eq!(
-            kinds(src),
-            vec![PanicKind::Unwrap, PanicKind::Expect, PanicKind::Panic]
-        );
+    fn kinds(src: &str) -> Vec<String> {
+        scan(&SourceFile::new("x.rs", src))
+            .into_iter()
+            .map(|f| f.message.split('`').nth(1).unwrap().to_string())
+            .collect()
     }
 
     #[test]
@@ -184,38 +108,12 @@ mod tests {
     #[test]
     fn flags_indexing_but_not_attributes_or_types() {
         let src = "#[derive(Debug)]\nfn f(v: &[u8], m: Vec<u8>) -> u8 { let a = vec![1]; v[0] + a[1] + f(v, m)[2] }";
-        assert_eq!(
-            kinds(src),
-            vec![
-                PanicKind::Indexing,
-                PanicKind::Indexing,
-                PanicKind::Indexing
-            ]
-        );
+        assert_eq!(kinds(src), ["indexing", "indexing", "indexing"]);
     }
 
     #[test]
     fn slice_patterns_and_array_types_not_flagged() {
         let src = "fn f(x: [u8; 4]) { let [a, _b, ..] = x; let _y: &[u8] = &x; let _ = a; }";
         assert!(kinds(src).is_empty());
-    }
-
-    #[test]
-    fn waivers_suppress_exactly_their_count() {
-        let src = "fn f() { a.unwrap(); b.unwrap(); c.expect(\"x\"); }";
-        // One unwrap waived: the second unwrap and the expect remain.
-        let f = findings_for_file("x.rs", src, |k| usize::from(k == PanicKind::Unwrap));
-        assert_eq!(f.len(), 2);
-        // Waive everything: clean.
-        let f = findings_for_file("x.rs", src, |_| 5);
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn line_numbers_are_accurate() {
-        let src = "line1\nline2\nfn f() { x.unwrap() }\n";
-        let sites = scan(src);
-        assert_eq!(sites.len(), 1);
-        assert_eq!(sites[0].line, 3);
     }
 }

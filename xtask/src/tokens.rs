@@ -19,7 +19,11 @@ pub enum Tok {
     /// A single punctuation character.
     Punct { ch: char, pos: usize },
     /// A balanced `{…}`, `(…)`, or `[…]`; `delim` is the opening char.
-    Group { delim: char, toks: Vec<Tok>, pos: usize },
+    Group {
+        delim: char,
+        toks: Vec<Tok>,
+        pos: usize,
+    },
 }
 
 impl Tok {
@@ -81,7 +85,11 @@ fn parse_seq(chars: &[char], i: &mut usize, top: bool) -> Vec<Tok> {
                 if *i < chars.len() && chars[*i] == closer_of(c) {
                     *i += 1;
                 }
-                out.push(Tok::Group { delim: c, toks, pos });
+                out.push(Tok::Group {
+                    delim: c,
+                    toks,
+                    pos,
+                });
             }
             '}' | ')' | ']' => {
                 if !top {
@@ -109,54 +117,58 @@ fn parse_seq(chars: &[char], i: &mut usize, top: bool) -> Vec<Tok> {
     out
 }
 
-/// The body tokens of the first inherent `impl <type_name> { … }` at the
-/// top level of `toks` (trait impls — `impl Trait for T` — don't match).
-pub fn impl_body<'a>(toks: &'a [Tok], type_name: &str) -> Option<&'a [Tok]> {
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is_ident("impl") && toks[i + 1].is_ident(type_name) {
-            if let Some(Tok::Group { delim: '{', toks: body, .. }) = toks.get(i + 2) {
-                return Some(body);
-            }
-        }
-        i += 1;
-    }
-    None
+/// The tokens of the first `{ … }` block at the top level of `toks` that
+/// directly follows the identifier sequence `header` — e.g.
+/// `["impl", "Request"]` (the inherent impl; `impl Wire for Request`
+/// does not match), `["impl", "Wire", "for", "Request"]`, or
+/// `["enum", "LockRank"]`.
+pub fn block_after<'a>(toks: &'a [Tok], header: &[&str]) -> Option<&'a [Tok]> {
+    toks.windows(header.len() + 1).find_map(|w| {
+        let (idents, block) = w.split_at(header.len());
+        idents
+            .iter()
+            .zip(header)
+            .all(|(t, h)| t.is_ident(h))
+            .then(|| block[0].group('{'))
+            .flatten()
+    })
 }
 
-/// The body tokens of `impl <trait_name> for <type_name> { … }`.
-pub fn trait_impl_body<'a>(
-    toks: &'a [Tok],
-    trait_name: &str,
-    type_name: &str,
-) -> Option<&'a [Tok]> {
-    let mut i = 0;
-    while i + 3 < toks.len() {
-        if toks[i].is_ident("impl")
-            && toks[i + 1].is_ident(trait_name)
-            && toks[i + 2].is_ident("for")
-            && toks[i + 3].is_ident(type_name)
-        {
-            if let Some(Tok::Group { delim: '{', toks: body, .. }) = toks.get(i + 4) {
-                return Some(body);
+/// The variant names of the top-level `enum <name>`: the first
+/// identifier of each comma-separated item. Attributes, payloads and
+/// discriminants are groups or trailing tokens, so they never lead.
+pub fn enum_variants(toks: &[Tok], name: &str) -> Option<Vec<String>> {
+    let body = block_after(toks, &["enum", name])?;
+    let mut variants = Vec::new();
+    let mut expect_name = true;
+    for t in body {
+        match t {
+            Tok::Punct { ch: ',', .. } => expect_name = true,
+            Tok::Ident { text, .. } if expect_name => {
+                variants.push(text.clone());
+                expect_name = false;
             }
+            _ => {}
         }
-        i += 1;
     }
-    None
+    Some(variants)
 }
 
-/// The brace-group body of `fn <name>`, searching `toks` and every
-/// nested group in source order. Signatures without a body (`fn f();`)
-/// are skipped.
-pub fn fn_body<'a>(toks: &'a [Tok], name: &str) -> Option<&'a [Tok]> {
+/// The brace-group body of `fn <name>` and the position of its opening
+/// brace, searching `toks` and every nested group in source order.
+/// Signatures without a body (`fn f();`) are skipped.
+pub fn fn_body<'a>(toks: &'a [Tok], name: &str) -> Option<(usize, &'a [Tok])> {
     let mut i = 0;
     while i < toks.len() {
         if toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.is_ident(name)) {
             let mut j = i + 2;
             while j < toks.len() {
                 match &toks[j] {
-                    Tok::Group { delim: '{', toks: body, .. } => return Some(body),
+                    Tok::Group {
+                        delim: '{',
+                        toks: body,
+                        pos,
+                    } => return Some((*pos, body)),
                     Tok::Punct { ch: ';', .. } => break,
                     _ => j += 1,
                 }
@@ -194,7 +206,11 @@ pub fn all_match_arms<'a>(toks: &'a [Tok]) -> Vec<Arm<'a>> {
             let mut j = i + 1;
             while j < toks.len() {
                 match &toks[j] {
-                    Tok::Group { delim: '{', toks: body, .. } => {
+                    Tok::Group {
+                        delim: '{',
+                        toks: body,
+                        ..
+                    } => {
                         out.extend(split_arms(body));
                         break;
                     }
@@ -259,23 +275,27 @@ fn split_arms<'a>(ts: &'a [Tok]) -> Vec<Arm<'a>> {
 
 /// `Enum::Variant` occurrences among `toks` (this level only — pattern
 /// position, so payloads aren't recursed into).
-pub fn qualified_variants(toks: &[&Tok], enum_name: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 3 < toks.len() + 1 {
-        if toks[i].is_ident(enum_name)
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        {
-            if let Some(v) = toks.get(i + 3).and_then(|t| t.ident()) {
-                out.push(v.to_string());
-                i += 4;
-                continue;
-            }
+pub fn qualified_variants<'a>(
+    toks: impl IntoIterator<Item = &'a Tok>,
+    enum_name: &str,
+) -> Vec<String> {
+    let toks: Vec<&Tok> = toks.into_iter().collect();
+    toks.windows(4)
+        .filter(|w| w[0].is_ident(enum_name) && w[1].is_punct(':') && w[2].is_punct(':'))
+        .filter_map(|w| w[3].ident().map(str::to_string))
+        .collect()
+}
+
+/// Calls `visit` with `toks` and then with the children of every nested
+/// group, depth-first in source order — for queries that match a token
+/// sequence at whatever nesting depth it occurs.
+pub fn each_level<'a>(toks: &'a [Tok], visit: &mut impl FnMut(&'a [Tok])) {
+    visit(toks);
+    for t in toks {
+        if let Tok::Group { toks: inner, .. } = t {
+            each_level(inner, visit);
         }
-        i += 1;
     }
-    out
 }
 
 /// A flattened, depth-first view of a token (sub)tree, for in-order
@@ -311,12 +331,13 @@ impl FlatTok<'_> {
     }
 }
 
-/// Flattens `toks` (a slice of borrowed trees, e.g. an [`Arm`] body)
-/// depth-first into `out`.
-pub fn flatten<'a>(toks: &[&'a Tok], out: &mut Vec<FlatTok<'a>>) {
+/// Flattens token trees (a file slice, an [`Arm`] body) depth-first.
+pub fn flatten<'a>(toks: impl IntoIterator<Item = &'a Tok>) -> Vec<FlatTok<'a>> {
+    let mut out = Vec::new();
     for t in toks {
-        flatten_one(t, out);
+        flatten_one(t, &mut out);
     }
+    out
 }
 
 fn flatten_one<'a>(t: &'a Tok, out: &mut Vec<FlatTok<'a>>) {
@@ -342,19 +363,14 @@ fn flatten_one<'a>(t: &'a Tok, out: &mut Vec<FlatTok<'a>>) {
 /// The first `Path::Segment` value among a flat arm body — e.g.
 /// `WalClass::Logged` → `Some("Logged")` for `path = "WalClass"`.
 pub fn flat_path_value(flat: &[FlatTok<'_>], path: &str) -> Option<String> {
-    let mut i = 0;
-    while i + 3 < flat.len() + 1 {
-        if flat[i].is_ident(path)
-            && flat.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && flat.get(i + 2).is_some_and(|t| t.is_punct(':'))
+    flat.windows(4).find_map(|w| match &w[3] {
+        FlatTok::Ident { text, .. }
+            if w[0].is_ident(path) && w[1].is_punct(':') && w[2].is_punct(':') =>
         {
-            if let Some(FlatTok::Ident { text, .. }) = flat.get(i + 3) {
-                return Some((*text).to_string());
-            }
+            Some((*text).to_string())
         }
-        i += 1;
-    }
-    None
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -394,10 +410,10 @@ mod tests {
     fn impl_bodies_distinguish_inherent_and_trait() {
         let src = "impl Wire for Req { fn decode() { a(); } } impl Req { fn opcode() { b(); } }";
         let toks = parse(src);
-        let inherent = impl_body(&toks, "Req").unwrap();
+        let inherent = block_after(&toks, &["impl", "Req"]).unwrap();
         assert!(fn_body(inherent, "opcode").is_some());
         assert!(fn_body(inherent, "decode").is_none());
-        let wire = trait_impl_body(&toks, "Wire", "Req").unwrap();
+        let wire = block_after(&toks, &["impl", "Wire", "for", "Req"]).unwrap();
         assert!(fn_body(wire, "decode").is_some());
     }
 
@@ -405,9 +421,32 @@ mod tests {
     fn fn_body_skips_parens_and_return_types() {
         let src = "fn f(a: (u8, u8)) -> Result<(), E> { inner() } fn g();";
         let toks = parse(src);
-        let body = fn_body(&toks, "f").unwrap();
+        let (pos, body) = fn_body(&toks, "f").unwrap();
+        assert_eq!(&src[pos..pos + 1], "{");
         assert!(body[0].is_ident("inner"));
         assert!(fn_body(&toks, "g").is_none());
+    }
+
+    #[test]
+    fn enum_variants_skip_payloads_attrs_discriminants() {
+        let src = "
+            #[non_exhaustive]
+            pub enum Code {
+                #[doc(hidden)]
+                Alpha,
+                Beta { x: u8, nested: Inner },
+                Gamma(Vec<u8>),
+                Delta = 4,
+            }
+            enum NotCode { X }
+        ";
+        let toks = parse(src);
+        assert_eq!(
+            enum_variants(&toks, "Code").unwrap(),
+            ["Alpha", "Beta", "Gamma", "Delta"]
+        );
+        assert_eq!(enum_variants(&toks, "NotCode").unwrap(), ["X"]);
+        assert!(enum_variants(&toks, "Missing").is_none());
     }
 
     #[test]
@@ -424,10 +463,15 @@ mod tests {
         let toks = parse(&strip(src));
         let arms = all_match_arms(&toks);
         assert_eq!(arms.len(), 3);
-        assert_eq!(qualified_variants(&arms[0].pat, "E"), vec!["A"]);
-        assert_eq!(qualified_variants(&arms[2].pat, "E"), vec!["C", "D"]);
-        let mut flat = Vec::new();
-        flatten(&arms[1].body, &mut flat);
+        assert_eq!(
+            qualified_variants(arms[0].pat.iter().copied(), "E"),
+            vec!["A"]
+        );
+        assert_eq!(
+            qualified_variants(arms[2].pat.iter().copied(), "E"),
+            vec!["C", "D"]
+        );
+        let flat = flatten(arms[1].body.iter().copied());
         assert!(flat.iter().any(|t| t.is_ident("nested")));
     }
 
@@ -438,7 +482,7 @@ mod tests {
         let arms = all_match_arms(&toks);
         let pats: Vec<_> = arms
             .iter()
-            .flat_map(|a| qualified_variants(&a.pat, "Y"))
+            .flat_map(|a| qualified_variants(a.pat.iter().copied(), "Y"))
             .collect();
         assert!(pats.contains(&"Q".to_string()));
     }
@@ -446,10 +490,11 @@ mod tests {
     #[test]
     fn flat_path_values_resolve() {
         let toks = parse("WalClass::Logged");
-        let refs: Vec<&Tok> = toks.iter().collect();
-        let mut flat = Vec::new();
-        flatten(&refs, &mut flat);
-        assert_eq!(flat_path_value(&flat, "WalClass").as_deref(), Some("Logged"));
+        let flat = flatten(&toks);
+        assert_eq!(
+            flat_path_value(&flat, "WalClass").as_deref(),
+            Some("Logged")
+        );
         assert_eq!(flat_path_value(&flat, "OpClass"), None);
     }
 }

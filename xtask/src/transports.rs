@@ -15,169 +15,151 @@
 //! - the schemeless fallback `TcpTransport` must stay *last*: its
 //!   `matches()` accepts any `host:port` string, so anything registered
 //!   after it is dead code.
-//!
-//! Like the other passes this is plain text scanning over a blanked
-//! token stream — no rustc, works offline.
 
-use crate::lexer::{is_ident_char, line_of, strip};
-use crate::Finding;
+use crate::tokens::{each_level, Tok};
+use crate::workspace::Workspace;
+use crate::{Counters, Finding};
 
 /// The registry's schemeless catch-all; must be the final entry.
 const FALLBACK: &str = "TcpTransport";
 
-/// Scans `files` (workspace-relative path, raw source) for `impl
-/// Transport for` blocks and the `TRANSPORTS` initializer, and
-/// cross-checks them.
-pub fn check(files: &[(String, String)]) -> Vec<Finding> {
+/// Cross-checks every `impl Transport for` block in `glider-net`
+/// against the `TRANSPORTS` initializer.
+pub fn check(ws: &Workspace, _: &mut Counters) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut impls: Vec<(String, usize, String)> = Vec::new(); // (file, line, type)
-    let mut registry: Option<(String, usize, Vec<String>)> = None;
+    let mut impls: Vec<(&str, usize, String)> = Vec::new(); // (file, line, type name)
+    let mut registry: Option<(&str, usize, Vec<String>)> = None;
+    let mut scanned = false;
 
-    for (rel, raw) in files {
-        let text = strip(raw);
-        for (pos, name) in find_impls(&text) {
-            impls.push((rel.clone(), line_of(&text, pos), name));
-        }
-        if let Some((pos, entries)) = find_registry(&text) {
-            registry = Some((rel.clone(), line_of(&text, pos), entries));
-        }
+    for file in ws.under(&["crates/net/src"]) {
+        scanned = true;
+        each_level(&file.toks, &mut |level| {
+            for w in level.windows(4) {
+                let header = ["impl", "Transport", "for"];
+                if let (true, Some(name)) = (
+                    w.iter().zip(header).all(|(t, h)| t.is_ident(h)),
+                    w[3].ident(),
+                ) {
+                    impls.push((&file.rel, file.line(w[0].pos()), name.to_string()));
+                }
+            }
+            if let Some((pos, entries)) = find_registry(level) {
+                registry = Some((&file.rel, file.line(pos), entries));
+            }
+        });
+    }
+    if !scanned {
+        out.push(Finding::new(
+            "crates/net/src",
+            0,
+            "transport-registry pass found no sources to scan".to_string(),
+        ));
     }
 
     let Some((reg_file, reg_line, entries)) = registry else {
         // Nothing to check against: only a finding when there are impls
         // that would need registering.
         if let Some((file, line, name)) = impls.first() {
-            out.push(Finding {
-                file: file.clone(),
-                line: *line,
-                message: format!(
-                    "found `impl Transport for {name}` but no `static TRANSPORTS` \
-                     registry to register it in"
+            out.push(Finding::new(
+                file,
+                *line,
+                format!(
+                    "found `impl Transport for {name}` but no `static TRANSPORTS` registry to \
+                     register it in"
                 ),
-            });
+            ));
         }
         return out;
     };
 
     for (file, line, name) in &impls {
         if !entries.contains(name) {
-            out.push(Finding {
-                file: file.clone(),
-                line: *line,
-                message: format!(
-                    "`impl Transport for {name}` is not registered in TRANSPORTS \
-                     ({reg_file}) — dial/bind will never dispatch to it"
+            out.push(Finding::new(
+                file,
+                *line,
+                format!(
+                    "`impl Transport for {name}` is not registered in TRANSPORTS ({reg_file}) \
+                     — dial/bind will never dispatch to it"
                 ),
-            });
+            ));
         }
     }
     for entry in &entries {
         if !impls.iter().any(|(_, _, name)| name == entry) {
-            out.push(Finding {
-                file: reg_file.clone(),
-                line: reg_line,
-                message: format!(
-                    "TRANSPORTS lists `{entry}` but no `impl Transport for {entry}` \
-                     exists in the scanned files"
+            out.push(Finding::new(
+                reg_file,
+                reg_line,
+                format!(
+                    "TRANSPORTS lists `{entry}` but no `impl Transport for {entry}` exists in \
+                     the scanned files"
                 ),
-            });
+            ));
         }
     }
     if entries.iter().any(|e| e == FALLBACK) && entries.last().map(String::as_str) != Some(FALLBACK)
     {
-        out.push(Finding {
-            file: reg_file,
-            line: reg_line,
-            message: format!(
-                "`{FALLBACK}` must be the last TRANSPORTS entry: it matches any \
-                 schemeless address, so everything after it is unreachable"
+        out.push(Finding::new(
+            reg_file,
+            reg_line,
+            format!(
+                "`{FALLBACK}` must be the last TRANSPORTS entry: it matches any schemeless \
+                 address, so everything after it is unreachable"
             ),
-        });
+        ));
     }
     out
 }
 
-/// Finds every `impl Transport for <Type>` in blanked source, returning
-/// `(byte offset, type name)` pairs.
-fn find_impls(text: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut search_from = 0;
-    while let Some(found) = text[search_from..].find("impl Transport for ") {
-        let at = search_from + found;
-        // Reject idents glued to `impl` (e.g. `reimpl`) — must start a word.
-        let word_start = at == 0 || !is_ident_char(text[..at].chars().next_back().unwrap_or(' '));
-        let after = at + "impl Transport for ".len();
-        if word_start {
-            let name: String = text[after..]
-                .chars()
-                .take_while(|c| is_ident_char(*c))
-                .collect();
-            if !name.is_empty() {
-                out.push((at, name));
-            }
-        }
-        search_from = after;
-    }
-    out
-}
-
-/// Finds the `TRANSPORTS` static initializer and extracts the `&Name`
-/// entries from its `[...]` literal. Returns `(byte offset, names)`.
-fn find_registry(text: &str) -> Option<(usize, Vec<String>)> {
-    let at = text.find("static TRANSPORTS")?;
-    // Skip the type annotation (`: [&'static dyn Transport; N]`): the
-    // entry list is the bracket literal after the `=`.
-    let eq = at + text[at..].find('=')?;
-    let open = eq + text[eq..].find('[')?;
-    let close = open + text[open..].find(']')?;
-    let body = &text[open + 1..close];
-    let mut entries = Vec::new();
-    for part in body.split(',') {
-        let part = part.trim();
-        if let Some(name) = part.strip_prefix('&') {
-            let name: String = name.chars().take_while(|c| is_ident_char(*c)).collect();
-            if !name.is_empty() {
-                entries.push(name);
-            }
-        }
-    }
-    Some((at, entries))
+/// Finds `static TRANSPORTS … = [&A, &B];` among `level`, returning the
+/// position of `static` and the `&Name` entries. The entry list is the
+/// bracket group after the `=` (the one before it is the type).
+fn find_registry(level: &[Tok]) -> Option<(usize, Vec<String>)> {
+    let at = level
+        .windows(2)
+        .position(|w| w[0].is_ident("static") && w[1].is_ident("TRANSPORTS"))?;
+    let eq = at + level[at..].iter().position(|t| t.is_punct('='))?;
+    let list = level[eq..].iter().find_map(|t| t.group('['))?;
+    let entries = list
+        .windows(2)
+        .filter(|w| w[0].is_punct('&'))
+        .filter_map(|w| w[1].ident().map(str::to_string))
+        .collect();
+    Some((level[at].pos(), entries))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn files(src: &str) -> Vec<(String, String)> {
-        vec![("crates/net/src/transport.rs".to_string(), src.to_string())]
+    fn run(sources: &[(&str, &str)]) -> Vec<Finding> {
+        check(&Workspace::from_sources(sources), &mut Counters::default())
     }
 
-    const REGISTERED: &str = "
-        impl Transport for MemTransport {}
-        impl Transport for TcpTransport {}
-        pub static TRANSPORTS: [&'static dyn Transport; 2] =
-            [&MemTransport, &TcpTransport];
-    ";
-
-    #[test]
-    fn registered_impls_are_clean() {
-        assert!(check(&files(REGISTERED)).is_empty());
+    fn one(src: &str) -> Vec<Finding> {
+        run(&[("crates/net/src/transport.rs", src)])
     }
 
     #[test]
-    fn unregistered_impl_is_flagged() {
+    fn registered_impls_are_clean_and_comments_do_not_count() {
         let src = "
+            // impl Transport for GhostTransport
             impl Transport for MemTransport {}
             impl Transport for TcpTransport {}
-            impl Transport for RdmaSimTransport {}
             pub static TRANSPORTS: [&'static dyn Transport; 2] =
                 [&MemTransport, &TcpTransport];
         ";
-        let out = check(&files(src));
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("RdmaSimTransport"));
-        assert!(out[0].message.contains("not registered"));
-        assert_eq!(out[0].line, 4);
+        assert!(one(src).is_empty());
+    }
+
+    #[test]
+    fn test_only_impls_need_no_registration() {
+        let src = "
+            impl Transport for TcpTransport {}
+            pub static TRANSPORTS: [&'static dyn Transport; 1] = [&TcpTransport];
+            #[cfg(test)]
+            mod tests { impl Transport for MockTransport {} }
+        ";
+        assert!(one(src).is_empty());
     }
 
     #[test]
@@ -187,10 +169,11 @@ mod tests {
             pub static TRANSPORTS: [&'static dyn Transport; 2] =
                 [&MemTransport, &TcpTransport];
         ";
-        let out = check(&files(src));
+        let out = one(src);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("MemTransport"));
         assert!(out[0].message.contains("no `impl Transport for"));
+        assert_eq!(out[0].line, 3);
     }
 
     #[test]
@@ -201,49 +184,34 @@ mod tests {
             pub static TRANSPORTS: [&'static dyn Transport; 2] =
                 [&TcpTransport, &MemTransport];
         ";
-        let out = check(&files(src));
+        let out = one(src);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("must be the last"));
     }
 
     #[test]
     fn impls_across_files_are_collected() {
-        let f = vec![
+        let out = run(&[
             (
-                "crates/net/src/transport.rs".to_string(),
+                "crates/net/src/transport.rs",
                 "impl Transport for TcpTransport {}
                  pub static TRANSPORTS: [&'static dyn Transport; 2] =
-                     [&MemTransport, &TcpTransport];"
-                    .to_string(),
+                     [&MemTransport, &TcpTransport];",
             ),
             (
-                "crates/net/src/mem.rs".to_string(),
-                "impl Transport for MemTransport {}".to_string(),
+                "crates/net/src/mem.rs",
+                "impl Transport for MemTransport {}",
             ),
-        ];
-        assert!(check(&f).is_empty());
+        ]);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
-    fn comments_do_not_count_as_impls() {
-        let src = "
-            // impl Transport for GhostTransport
-            impl Transport for TcpTransport {}
-            pub static TRANSPORTS: [&'static dyn Transport; 1] = [&TcpTransport];
-        ";
-        assert!(check(&files(src)).is_empty());
-    }
-
-    #[test]
-    fn missing_registry_with_impls_is_flagged() {
-        let src = "impl Transport for TcpTransport {}";
-        let out = check(&files(src));
+    fn missing_registry_matters_only_with_impls() {
+        let out = one("impl Transport for TcpTransport {}");
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("no `static TRANSPORTS`"));
-    }
-
-    #[test]
-    fn no_impls_no_registry_is_clean() {
-        assert!(check(&files("fn nothing_here() {}")).is_empty());
+        assert!(one("fn nothing_here() {}").is_empty());
+        assert!(run(&[])[0].message.contains("no sources"));
     }
 }

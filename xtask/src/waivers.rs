@@ -1,193 +1,93 @@
-//! The panic-lint waiver list: committed, counted, shrink-only.
-//!
-//! Format (one waiver per line, `#` starts a comment):
+//! The waiver list: committed, justified, shrink-only. One per line,
+//! `#` starts a comment:
 //!
 //! ```text
-//! <workspace-relative-path> <kind> <count>
-//! crates/storage/src/tier.rs indexing 2
+//! <pass> <key> -- <justification>
+//! durability RepairNode -- append happens inside repair_node_locked
 //! ```
 //!
-//! `kind` is one of `unwrap`, `expect`, `panic`, `indexing`. The count is
-//! an exact ceiling *and floor*: more sites than waived is a lint error
-//! (new debt), and fewer sites than waived is also a lint error (stale
-//! waiver — shrink the list so the ratchet can never silently loosen).
+//! The justification is mandatory — a waiver is a debt note, and a debt
+//! note without a reason is unreviewable. Every entry must be consumed
+//! by a finding it suppresses; unused entries are stale and fail the
+//! run, so the list can only shrink as the underlying debt is paid.
+//! Only the durability and lock-order passes consult it: the panic-path
+//! pass is zero-tolerance, and hot-path lines are waived inline.
 
-use crate::panics::PanicKind;
+use crate::workspace::WAIVER_FILE;
 use crate::Finding;
-use std::collections::HashMap;
+use std::cell::Cell;
+
+const WAIVABLE_PASSES: [&str; 2] = ["durability", "lock-order"];
 
 #[derive(Debug, Default)]
 pub struct Waivers {
-    entries: HashMap<(String, PanicKind), usize>,
+    entries: Vec<Entry>,
+}
+
+#[derive(Debug)]
+struct Entry {
+    pass: String,
+    key: String,
+    /// Set once the entry has suppressed a finding this run.
+    used: Cell<bool>,
 }
 
 impl Waivers {
     /// Parses the waiver file. Malformed lines are hard errors: a typo'd
     /// waiver that silently waived nothing would surface as a confusing
-    /// lint failure elsewhere.
+    /// failure elsewhere.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = HashMap::new();
+        let mut entries: Vec<Entry> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
-            let mut parts = line.split_whitespace();
-            let (path, kind, count) = match (parts.next(), parts.next(), parts.next(), parts.next())
-            {
-                (Some(p), Some(k), Some(c), None) => (p, k, c),
-                _ => {
-                    return Err(format!(
-                        "lint-waivers.txt:{}: expected `<path> <kind> <count>`, got {raw:?}",
-                        idx + 1
-                    ))
-                }
+            let at = format!("{WAIVER_FILE}:{}", idx + 1);
+            let Some((head, just)) = line.split_once("--") else {
+                return Err(format!(
+                    "{at}: expected `<pass> <key> -- <justification>`, got {raw:?}"
+                ));
             };
-            let kind = PanicKind::from_str(kind).ok_or_else(|| {
-                format!(
-                    "lint-waivers.txt:{}: unknown kind {kind:?} (expected \
-                     unwrap|expect|panic|indexing)",
-                    idx + 1
-                )
-            })?;
-            let count: usize = count.parse().map_err(|_| {
-                format!("lint-waivers.txt:{}: bad count {count:?}", idx + 1)
-            })?;
-            if count == 0 {
+            let mut parts = head.split_whitespace();
+            let (Some(pass), Some(key), None) = (parts.next(), parts.next(), parts.next()) else {
                 return Err(format!(
-                    "lint-waivers.txt:{}: zero-count waiver is dead weight; delete the line",
-                    idx + 1
+                    "{at}: expected exactly `<pass> <key>` before `--`, got {:?}",
+                    head.trim()
+                ));
+            };
+            if !WAIVABLE_PASSES.contains(&pass) {
+                return Err(format!(
+                    "{at}: unknown pass {pass:?} (expected durability|lock-order; no other \
+                     pass is waivable here — hot-path lines take inline `// glider: alloc-ok`)"
                 ));
             }
-            if entries.insert((path.to_string(), kind), count).is_some() {
+            if just.trim().is_empty() {
                 return Err(format!(
-                    "lint-waivers.txt:{}: duplicate waiver for {path} {}",
-                    idx + 1,
-                    kind.as_str()
+                    "{at}: empty justification — say why this violation is acceptable and \
+                     where the invariant actually holds"
                 ));
             }
+            if entries.iter().any(|e| e.pass == pass && e.key == key) {
+                return Err(format!("{at}: duplicate waiver for `{pass} {key}`"));
+            }
+            entries.push(Entry {
+                pass: pass.to_string(),
+                key: key.to_string(),
+                used: Cell::new(false),
+            });
         }
         Ok(Waivers { entries })
     }
 
-    /// Number of waiver entries (for the `--report` burndown).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The waived count for one file/kind pair.
-    pub fn allowance(&self, path: &str, kind: PanicKind) -> usize {
-        self.entries
-            .get(&(path.to_string(), kind))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Checks the shrink-only ratchet: every waiver must be fully used.
-    /// `actual(path, kind)` returns the number of sites the scan found.
-    /// Returns one finding per stale (under-used) waiver.
-    pub fn stale_findings(&self, mut actual: impl FnMut(&str, PanicKind) -> usize) -> Vec<Finding> {
-        let mut out: Vec<Finding> = self
-            .entries
-            .iter()
-            .filter_map(|((path, kind), &count)| {
-                let found = actual(path, *kind);
-                (found < count).then(|| Finding {
-                    file: "xtask/lint-waivers.txt".to_string(),
-                    line: 0,
-                    message: format!(
-                        "stale waiver: {path} waives {count} `{}` site(s) but only \
-                         {found} exist — shrink the waiver (the list may never grow \
-                         and may never overshoot)",
-                        kind.as_str()
-                    ),
-                })
-            })
-            .collect();
-        out.sort_by(|a, b| a.message.cmp(&b.message));
-        out
-    }
-}
-
-/// Waivers for the semantic `analyze` passes: one per line,
-///
-/// ```text
-/// <pass> <key> -- <justification>
-/// durability RepairNode -- append happens inside repair_node_locked
-/// ```
-///
-/// The justification is mandatory — a waiver is a debt note, and a debt
-/// note without a reason is unreviewable. Every entry must be consumed
-/// by a finding it suppresses; unused entries are stale and fail the
-/// run, so the list can only shrink as the underlying debt is paid.
-#[derive(Debug, Default)]
-pub struct AnalyzeWaivers {
-    entries: Vec<(String, String, String)>,
-}
-
-const ANALYZE_PASSES: [&str; 2] = ["durability", "lockgraph"];
-
-impl AnalyzeWaivers {
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries: Vec<(String, String, String)> = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (head, just) = match line.split_once("--") {
-                Some((h, j)) => (h.trim(), j.trim()),
-                None => {
-                    return Err(format!(
-                        "analyze-waivers.txt:{}: expected `<pass> <key> -- <justification>`, \
-                         got {raw:?}",
-                        idx + 1
-                    ))
-                }
-            };
-            let mut parts = head.split_whitespace();
-            let (pass, key) = match (parts.next(), parts.next(), parts.next()) {
-                (Some(p), Some(k), None) => (p, k),
-                _ => {
-                    return Err(format!(
-                        "analyze-waivers.txt:{}: expected exactly `<pass> <key>` before \
-                         `--`, got {head:?}",
-                        idx + 1
-                    ))
-                }
-            };
-            if !ANALYZE_PASSES.contains(&pass) {
-                return Err(format!(
-                    "analyze-waivers.txt:{}: unknown pass {pass:?} (expected \
-                     durability|lockgraph; protocol and hotpath findings are not \
-                     waivable here — hot-path lines take inline `// glider: alloc-ok`)",
-                    idx + 1
-                ));
-            }
-            if just.is_empty() {
-                return Err(format!(
-                    "analyze-waivers.txt:{}: empty justification — say why this \
-                     violation is acceptable and where the invariant actually holds",
-                    idx + 1
-                ));
-            }
-            if entries.iter().any(|(p, k, _)| p == pass && k == key) {
-                return Err(format!(
-                    "analyze-waivers.txt:{}: duplicate waiver for `{pass} {key}`",
-                    idx + 1
-                ));
-            }
-            entries.push((pass.to_string(), key.to_string(), just.to_string()));
-        }
-        Ok(AnalyzeWaivers { entries })
-    }
-
+    /// Whether `<pass> <key>` is waived; asking consumes the entry, which
+    /// is what keeps it from being reported stale.
     pub fn is_waived(&self, pass: &str, key: &str) -> bool {
-        self.entries.iter().any(|(p, k, _)| p == pass && k == key)
+        let entry = self.entries.iter().find(|e| e.pass == pass && e.key == key);
+        if let Some(e) = entry {
+            e.used.set(true);
+        }
+        entry.is_some()
     }
 
     pub fn len(&self) -> usize {
@@ -199,19 +99,21 @@ impl AnalyzeWaivers {
     }
 
     /// The shrink-only ratchet: every waiver must have suppressed at
-    /// least one finding this run. `used` is the (pass, key) pairs the
-    /// passes consumed.
-    pub fn stale(&self, used: &[(String, String)]) -> Vec<Finding> {
+    /// least one finding by the time all passes have run.
+    pub fn stale(&self) -> Vec<Finding> {
         self.entries
             .iter()
-            .filter(|(p, k, _)| !used.iter().any(|(up, uk)| up == p && uk == k))
-            .map(|(p, k, _)| Finding {
-                file: "xtask/analyze-waivers.txt".to_string(),
-                line: 0,
-                message: format!(
-                    "stale waiver: `{p} {k}` suppressed nothing this run — delete the \
-                     line (the list may only shrink)"
-                ),
+            .filter(|e| !e.used.get())
+            .map(|e| {
+                Finding::new(
+                    WAIVER_FILE,
+                    0,
+                    format!(
+                        "stale waiver: `{} {}` suppressed nothing this run — delete the \
+                         line (the list may only shrink)",
+                        e.pass, e.key
+                    ),
+                )
             })
             .collect()
     }
@@ -222,74 +124,54 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_entries_and_comments() {
+    fn parse_and_lookup() {
         let w = Waivers::parse(
-            "# header\n\ncrates/a/src/lib.rs unwrap 2  # legacy\ncrates/b/src/lib.rs indexing 1\n",
-        )
-        .unwrap();
-        assert_eq!(w.allowance("crates/a/src/lib.rs", PanicKind::Unwrap), 2);
-        assert_eq!(w.allowance("crates/b/src/lib.rs", PanicKind::Indexing), 1);
-        assert_eq!(w.allowance("crates/a/src/lib.rs", PanicKind::Panic), 0);
-        assert_eq!(w.allowance("other.rs", PanicKind::Unwrap), 0);
-    }
-
-    #[test]
-    fn rejects_malformed_lines() {
-        assert!(Waivers::parse("just-a-path\n").is_err());
-        assert!(Waivers::parse("a.rs unwrap notanumber\n").is_err());
-        assert!(Waivers::parse("a.rs frobnicate 1\n").is_err());
-        assert!(Waivers::parse("a.rs unwrap 1 extra\n").is_err());
-        assert!(Waivers::parse("a.rs unwrap 0\n").is_err());
-        assert!(Waivers::parse("a.rs unwrap 1\na.rs unwrap 2\n").is_err());
-    }
-
-    #[test]
-    fn stale_waivers_are_findings() {
-        let w = Waivers::parse("a.rs unwrap 2\nb.rs panic 1\n").unwrap();
-        // a.rs really has 2 unwraps (fully used), b.rs has no panic left.
-        let stale = w.stale_findings(|path, _| if path == "a.rs" { 2 } else { 0 });
-        assert_eq!(stale.len(), 1);
-        assert!(stale[0].message.contains("b.rs"));
-        // Fully-used waivers are clean.
-        let stale = w.stale_findings(|path, _| if path == "a.rs" { 2 } else { 1 });
-        assert!(stale.is_empty());
-    }
-
-    #[test]
-    fn analyze_waivers_parse_and_lookup() {
-        let w = AnalyzeWaivers::parse(
             "# debt notes\ndurability RepairNode -- append happens in repair_node_locked\n\
-             lockgraph freelist -- renamed next PR\n",
+             lock-order freelist -- renamed next PR\n",
         )
         .unwrap();
         assert!(w.is_waived("durability", "RepairNode"));
-        assert!(w.is_waived("lockgraph", "freelist"));
+        assert!(w.is_waived("lock-order", "freelist"));
         assert!(!w.is_waived("durability", "CreateNode"));
         assert_eq!(w.len(), 2);
     }
 
     #[test]
-    fn analyze_waivers_reject_bad_lines() {
-        assert!(AnalyzeWaivers::parse("durability RepairNode\n").is_err(), "no justification");
-        assert!(AnalyzeWaivers::parse("durability RepairNode --  \n").is_err(), "empty justification");
-        assert!(AnalyzeWaivers::parse("protocol Hello -- nope\n").is_err(), "unwaivable pass");
-        assert!(AnalyzeWaivers::parse("durability A B -- x\n").is_err(), "extra key token");
+    fn bad_lines_are_rejected() {
         assert!(
-            AnalyzeWaivers::parse("durability X -- a\ndurability X -- b\n").is_err(),
+            Waivers::parse("durability RepairNode\n").is_err(),
+            "no justification"
+        );
+        assert!(
+            Waivers::parse("durability RepairNode --  \n").is_err(),
+            "empty justification"
+        );
+        assert!(
+            Waivers::parse("protocol Hello -- nope\n").is_err(),
+            "unwaivable pass"
+        );
+        assert!(
+            Waivers::parse("panic-path x.rs -- nope\n").is_err(),
+            "zero-tolerance pass"
+        );
+        assert!(
+            Waivers::parse("durability A B -- x\n").is_err(),
+            "extra key token"
+        );
+        assert!(
+            Waivers::parse("durability X -- a\ndurability X -- b\n").is_err(),
             "duplicate"
         );
     }
 
     #[test]
-    fn analyze_waivers_stale_detection() {
-        let w = AnalyzeWaivers::parse(
-            "durability RepairNode -- real\nlockgraph ghost -- never fires\n",
-        )
-        .unwrap();
-        let used = vec![("durability".to_string(), "RepairNode".to_string())];
-        let stale = w.stale(&used);
+    fn unconsumed_entries_are_stale() {
+        let w = Waivers::parse("durability RepairNode -- real\nlock-order ghost -- never fires\n")
+            .unwrap();
+        assert_eq!(w.stale().len(), 2);
+        assert!(w.is_waived("durability", "RepairNode"));
+        let stale = w.stale();
         assert_eq!(stale.len(), 1);
-        assert!(stale[0].message.contains("lockgraph ghost"));
-        assert!(w.stale(&[]).len() == 2);
+        assert!(stale[0].message.contains("lock-order ghost"));
     }
 }

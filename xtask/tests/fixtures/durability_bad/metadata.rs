@@ -1,7 +1,7 @@
 //! Seeded-violation metadata handler: `CreateFile` constructs its
 //! success response before the WAL append (the early-ack bug the pass
 //! exists to catch); `DeleteFile` is correct; `RenameFile` is declared
-//! `Logged` by the driving test but has no match arm at all.
+//! `Logged` by wal.rs but has no match arm at all.
 
 fn handle_sync(&self, body: RequestBody) -> GliderResult<ResponseBody> {
     match body {
