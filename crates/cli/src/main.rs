@@ -8,7 +8,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 fn main() -> ExitCode {
-    // Honor GLIDER_TRACE / RUST_LOG before any spans are created.
+    // Honor GLIDER_TRACE before any spans are created.
     glider_core::trace::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let arg_refs: Vec<&str> = args.iter().map(String::as_str).collect();

@@ -334,10 +334,12 @@ impl FileWriter {
     /// each failed block's extent and replays its retained pieces.
     async fn recover(&mut self, first_failed: BlockId, cause: GliderError) -> GliderResult<()> {
         let span = glider_trace::Span::root("writer.recover");
-        glider_trace::event(
+        glider_trace::structured_event(
             "writer.recover",
             &format!("block {first_failed} write failed: {cause}"),
-            span.context(),
+            "",
+            0,
+            span.trace_id(),
         );
         let mut failed = vec![first_failed];
         while let Some((tag, res)) = self.pending.next().await {

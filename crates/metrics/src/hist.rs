@@ -225,10 +225,10 @@ pub enum OpKind {
 
 impl OpKind {
     /// Number of operation kinds.
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = Self::ALL.len();
 
     /// All kinds, in index order.
-    pub const ALL: [OpKind; OpKind::COUNT] = [
+    pub const ALL: [OpKind; 18] = [
         OpKind::MetaCreateNode,
         OpKind::MetaLookupNode,
         OpKind::MetaDeleteNode,
@@ -249,28 +249,10 @@ impl OpKind {
         OpKind::ActionStreamWrite,
     ];
 
-    /// The dense index of this kind.
+    /// The dense index of this kind: its declaration order, which
+    /// `ALL` restates.
     pub fn index(self) -> usize {
-        match self {
-            OpKind::MetaCreateNode => 0,
-            OpKind::MetaLookupNode => 1,
-            OpKind::MetaDeleteNode => 2,
-            OpKind::MetaListChildren => 3,
-            OpKind::MetaAddBlock => 4,
-            OpKind::MetaAddBlocks => 5,
-            OpKind::MetaCommitBlock => 6,
-            OpKind::MetaCommitBlocks => 7,
-            OpKind::MetaRegisterServer => 8,
-            OpKind::BlockRead => 9,
-            OpKind::BlockWrite => 10,
-            OpKind::BlockFree => 11,
-            OpKind::ActionInvoke => 12,
-            OpKind::ActionHandlerRun => 13,
-            OpKind::QueueWait => 14,
-            OpKind::WriterFlush => 15,
-            OpKind::ActionStreamRead => 16,
-            OpKind::ActionStreamWrite => 17,
-        }
+        self as usize
     }
 
     /// The stable name used in stats tables and JSON.
@@ -405,11 +387,10 @@ mod tests {
     fn op_kind_indices_and_names_are_dense_and_unique() {
         let mut names = std::collections::HashSet::new();
         for (i, kind) in OpKind::ALL.iter().enumerate() {
-            assert_eq!(kind.index(), i);
+            assert_eq!(kind.index(), i, "ALL is out of declaration order");
             assert!(names.insert(kind.name()), "duplicate name {}", kind.name());
             assert_eq!(OpKind::from_name(kind.name()), Some(*kind));
         }
-        assert_eq!(OpKind::ALL.len(), OpKind::COUNT);
         assert_eq!(OpKind::from_name("bogus"), None);
     }
 

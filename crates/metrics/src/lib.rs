@@ -113,14 +113,11 @@ pub enum Tier {
 }
 
 impl Tier {
-    const COUNT: usize = 3;
+    const COUNT: usize = Self::ALL.len();
 
+    /// The dense index: declaration order, which `ALL` restates.
     fn index(self) -> usize {
-        match self {
-            Tier::Compute => 0,
-            Tier::Storage => 1,
-            Tier::ObjectStore => 2,
-        }
+        self as usize
     }
 
     /// All tiers, in index order.
@@ -162,19 +159,11 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
-    const COUNT: usize = 8;
+    const COUNT: usize = Self::ALL.len();
 
+    /// The dense index: declaration order, which `ALL` restates.
     fn index(self) -> usize {
-        match self {
-            AccessKind::FileRead => 0,
-            AccessKind::FileWrite => 1,
-            AccessKind::ActionRead => 2,
-            AccessKind::ActionWrite => 3,
-            AccessKind::ObjectGet => 4,
-            AccessKind::ObjectPut => 5,
-            AccessKind::ObjectSelect => 6,
-            AccessKind::Metadata => 7,
-        }
+        self as usize
     }
 
     /// All access kinds, in index order.
@@ -365,7 +354,7 @@ impl MetricsRegistry {
 
     /// Records the latency of one `kind` operation: one relaxed atomic
     /// add into the kind's histogram. Operations at or above the slow-op
-    /// threshold (see [`set_slow_op_threshold`]) are additionally
+    /// threshold ([`glider_trace::slow_op_threshold`]) are additionally
     /// reported, off the fast path.
     pub fn record_latency(&self, kind: OpKind, elapsed: Duration) {
         self.record_latency_traced(kind, elapsed, 0);
@@ -383,8 +372,8 @@ impl MetricsRegistry {
         if trace_id != 0 {
             self.exemplars[kind.index()][bucket].store(trace_id, Ordering::Relaxed);
         }
-        let threshold = slow_op_threshold_ns();
-        if threshold != 0 && ns >= threshold {
+        // Unset and `0` both mean "report nothing" here.
+        if glider_trace::slow_op_threshold().is_some_and(|t| !t.is_zero() && elapsed >= t) {
             report_slow_op(kind, ns);
         }
     }
@@ -744,41 +733,11 @@ impl Drop for OpTimer<'_> {
     }
 }
 
-/// Sentinel: threshold not yet initialized from the environment.
-const SLOW_OP_UNSET: u64 = u64::MAX;
-
-static SLOW_OP_NS: AtomicU64 = AtomicU64::new(SLOW_OP_UNSET);
-
-/// The slow-op threshold in ns, lazily read from `GLIDER_SLOW_OP_MS` on
-/// first use; 0 disables reporting.
-fn slow_op_threshold_ns() -> u64 {
-    let v = SLOW_OP_NS.load(Ordering::Relaxed);
-    if v != SLOW_OP_UNSET {
-        return v;
-    }
-    let parsed = std::env::var("GLIDER_SLOW_OP_MS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .map(|ms| ms.saturating_mul(1_000_000).min(SLOW_OP_UNSET - 1))
-        .unwrap_or(0);
-    SLOW_OP_NS.store(parsed, Ordering::Relaxed);
-    parsed
-}
-
-/// Sets the slow-op reporting threshold programmatically, overriding the
-/// `GLIDER_SLOW_OP_MS` environment variable; `None` disables reporting.
-pub fn set_slow_op_threshold(threshold: Option<Duration>) {
-    let ns = threshold
-        .map(|d| (d.as_nanos().min((SLOW_OP_UNSET - 1) as u128)) as u64)
-        .unwrap_or(0);
-    SLOW_OP_NS.store(ns, Ordering::Relaxed);
-}
-
 #[cold]
 fn report_slow_op(kind: OpKind, ns: u64) {
     let message = format!("{} took {:.3} ms", kind.name(), ns as f64 / 1e6);
     if glider_trace::tracing_enabled() {
-        glider_trace::event("slow-op", &message, glider_trace::SpanContext::NONE);
+        glider_trace::structured_event("slow-op", &message, "", 0, 0);
     } else {
         eprintln!("[glider slow-op] {message}");
     }
@@ -1050,6 +1009,20 @@ mod tests {
         m.record_transfer(Tier::ObjectStore, Tier::Compute, 30);
         let s = m.snapshot();
         assert_eq!(s.tier_crossing_bytes(), 100);
+    }
+
+    fn assert_dense<T: Copy + fmt::Display>(all: &[T], index: fn(T) -> usize) {
+        let mut names = std::collections::HashSet::new();
+        for (i, item) in all.iter().enumerate() {
+            assert_eq!(index(*item), i, "ALL is out of declaration order at {item}");
+            assert!(names.insert(item.to_string()), "duplicate name {item}");
+        }
+    }
+
+    #[test]
+    fn tier_and_access_kind_indices_and_names_are_dense_and_unique() {
+        assert_dense(&Tier::ALL, Tier::index);
+        assert_dense(&AccessKind::ALL, AccessKind::index);
     }
 
     #[test]

@@ -1593,10 +1593,14 @@ mod tests {
 
     #[tokio::test]
     async fn dispatch_spans_continue_the_client_trace() {
-        // The subscriber registry is process-global; give this test its
-        // own server so other tests' spans cannot interleave ids we
-        // assert on (they may still add unrelated records).
-        let sub = glider_trace::CapturingSubscriber::install();
+        // The flight recorder is process-global and shared with
+        // `stats::span_dump_reflects_recorder_state` (get-or-create, and
+        // never uninstalled here, so neither test pulls it from under the
+        // other); give this test its own server so other tests' spans
+        // cannot interleave ids we assert on (they may still add
+        // unrelated records).
+        let rec = glider_trace::install_recorder();
+        let since = rec.last_seq();
         let (server, _metrics) = start("127.0.0.1:0").await;
         let client = RpcClient::connect(server.addr(), PeerTier::Compute, None)
             .await
@@ -1605,8 +1609,7 @@ mod tests {
             .call(RequestBody::AddBlock { node_id: 9.into() })
             .await
             .unwrap();
-        glider_trace::set_subscriber(None);
-        let spans = sub.spans();
+        let spans = rec.snapshot(0, since).spans;
         // Find a client.call whose trace also has an rpc.dispatch.
         let linked = spans.iter().filter(|s| s.name == "client.call").any(|c| {
             spans

@@ -783,9 +783,10 @@ mod tests {
 
     #[test]
     fn span_dump_reflects_recorder_state() {
-        // No recorder installed yet (this is the only net test touching
-        // the process-global): the dump is empty but names its source.
-        let before = build_span_dump("mem://m", 0, 0);
+        // A trace nobody emitted (the rpc dispatch-span test may or may
+        // not have installed the process-global recorder already): the
+        // dump is empty but names its source.
+        let before = build_span_dump("mem://m", 0xfeed_0001, 0);
         assert_eq!(before.source, "mem://m");
         assert!(before.spans.is_empty() && before.events.is_empty());
 

@@ -9,15 +9,15 @@
 //!   minted once at the root of a request and propagated across process
 //!   boundaries in the RPC header, so every hop of one client operation
 //!   shares it.
-//! - a global [`Subscriber`] observes span closures and events. When no
-//!   subscriber is installed (the default), spans skip timing entirely:
+//! - there is one sink: the process-global [`FlightRecorder`]. While
+//!   none is installed (the default), spans skip timing entirely:
 //!   creating and dropping one costs a single relaxed atomic load plus
 //!   the id arithmetic needed to keep wire trace ids flowing.
-//! - [`init_from_env`] installs a stderr subscriber when `GLIDER_TRACE`
-//!   (or, as a fallback, `RUST_LOG`) selects one — the env-filter style
-//!   switch: off by default, `all` for everything, or a comma-separated
-//!   list of span-name prefixes (`rpc,action` traces the RPC layer and
-//!   the action runtime).
+//! - [`init_from_env`] installs a recorder that also echoes to stderr
+//!   when `GLIDER_TRACE` asks for it: off by default, `all` to echo
+//!   everything, or a comma-separated list of span-name prefixes
+//!   (`rpc,action` echoes the RPC layer and the action runtime). The
+//!   prefixes select what is echoed; the recorder keeps every span.
 //!
 //! The span hierarchy Glider emits for one client call is documented in
 //! DESIGN.md §Observability:
@@ -32,12 +32,14 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 mod recorder;
 
-pub use recorder::{CompletedSpan, FlightRecorder, StructuredEvent};
+pub use recorder::{
+    parse_slow_op_ms, slow_op_threshold, CompletedSpan, FlightRecorder, StructuredEvent,
+};
 
 // ---------------------------------------------------------------------------
 // Ids and context
@@ -90,10 +92,10 @@ pub fn next_id() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Subscriber
+// The sink
 // ---------------------------------------------------------------------------
 
-/// A closed span, as delivered to subscribers.
+/// A closed span, as handed to [`FlightRecorder::push_span`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// The span's static name (e.g. `rpc.dispatch`).
@@ -114,76 +116,22 @@ pub struct SpanRecord {
     pub err: bool,
 }
 
-/// Observer of span closures and events.
-pub trait Subscriber: Send + Sync {
-    /// Whether spans/events with this name should be recorded at all.
-    fn enabled(&self, name: &str) -> bool;
-    /// Called when an enabled span is dropped.
-    fn on_span_close(&self, span: &SpanRecord);
-    /// Called for point-in-time events (e.g. slow-op reports).
-    fn on_event(&self, name: &str, message: &str, ctx: SpanContext);
-}
-
+/// The hot-path gate: true exactly while `RECORDER` holds a recorder.
+/// Stored only under the slot's write lock, so flag and slot cannot
+/// disagree once a setter returns; the lock, not the flag, publishes the
+/// recorder, so loads of the flag are relaxed. A poisoned lock is
+/// recovered: the slot is one `Option` assignment, valid at every step.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SUB_PRESENT: AtomicBool = AtomicBool::new(false);
-static REC_PRESENT: AtomicBool = AtomicBool::new(false);
-static SUBSCRIBER: Mutex<Option<Arc<dyn Subscriber>>> = Mutex::new(None);
-static RECORDER: Mutex<Option<Arc<FlightRecorder>>> = Mutex::new(None);
-
-fn subscriber_slot() -> std::sync::MutexGuard<'static, Option<Arc<dyn Subscriber>>> {
-    // A panicking subscriber must not poison tracing for everyone else.
-    SUBSCRIBER.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn recorder_slot() -> std::sync::MutexGuard<'static, Option<Arc<FlightRecorder>>> {
-    RECORDER.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// ENABLED stays the single hot-path gate: true while *either* a
-/// subscriber or a flight recorder is installed. The per-slot flags are
-/// maintained by the setters; a race between two setters can only make
-/// ENABLED momentarily conservative (true with nothing installed), never
-/// drop records while something is listening.
-fn recompute_enabled() {
-    ENABLED.store(
-        SUB_PRESENT.load(Ordering::Acquire) || REC_PRESENT.load(Ordering::Acquire),
-        Ordering::Release,
-    );
-}
-
-/// Installs (or, with `None`, removes) the global subscriber.
-///
-/// Later installations replace earlier ones; spans created before the
-/// switch report to whatever is installed when they *close*. An
-/// installed [`FlightRecorder`] is independent of the subscriber and
-/// keeps recording across subscriber swaps.
-pub fn set_subscriber(subscriber: Option<Arc<dyn Subscriber>>) {
-    let mut slot = subscriber_slot();
-    SUB_PRESENT.store(subscriber.is_some(), Ordering::Release);
-    *slot = subscriber;
-    drop(slot);
-    recompute_enabled();
-}
+static RECORDER: RwLock<Option<Arc<FlightRecorder>>> = RwLock::new(None);
 
 /// Installs (or, with `None`, removes) the process-global flight
-/// recorder. The recorder is a retention buffer, not a filter: while one
-/// is installed every span is timed and recorded regardless of the
-/// subscriber's name filter.
+/// recorder. Later installations replace earlier ones; spans created
+/// before the switch report to whatever is installed when they *close*.
+/// While a recorder is installed every span is timed and recorded.
 pub fn set_recorder(rec: Option<Arc<FlightRecorder>>) {
-    let mut slot = recorder_slot();
-    REC_PRESENT.store(rec.is_some(), Ordering::Release);
+    let mut slot = RECORDER.write().unwrap_or_else(|e| e.into_inner());
+    ENABLED.store(rec.is_some(), Ordering::Release);
     *slot = rec;
-    drop(slot);
-    recompute_enabled();
-}
-
-/// The installed flight recorder, if any. Checks a flag before touching
-/// the registry lock so the recorder-less path stays lock-free.
-pub fn recorder() -> Option<Arc<FlightRecorder>> {
-    if !REC_PRESENT.load(Ordering::Acquire) {
-        return None;
-    }
-    recorder_slot().clone()
 }
 
 /// Returns the installed flight recorder, installing a fresh
@@ -191,100 +139,55 @@ pub fn recorder() -> Option<Arc<FlightRecorder>> {
 /// at startup so the recorder is always-on; a second server starting in
 /// the same process (the in-process cluster) shares the first one.
 pub fn install_recorder() -> Arc<FlightRecorder> {
-    let mut slot = recorder_slot();
-    let rec = match &*slot {
-        Some(rec) => Arc::clone(rec),
-        None => {
-            let rec = Arc::new(FlightRecorder::new());
-            *slot = Some(Arc::clone(&rec));
-            REC_PRESENT.store(true, Ordering::Release);
-            rec
-        }
-    };
-    drop(slot);
-    recompute_enabled();
+    let mut slot = RECORDER.write().unwrap_or_else(|e| e.into_inner());
+    let rec = Arc::clone(slot.get_or_insert_with(|| Arc::new(FlightRecorder::new())));
+    ENABLED.store(true, Ordering::Release);
     rec
 }
 
-/// Runs `f` with the current subscriber, if any. The registry lock is
-/// released before `f` runs, so subscribers may re-enter the API.
-fn with_subscriber(f: impl FnOnce(&dyn Subscriber)) {
-    if !ENABLED.load(Ordering::Acquire) {
+/// Runs `f` on the installed recorder, if any, under the slot's read
+/// lock: no `Arc` clone, and the only mutex taken is the ring's inside
+/// `f`. The recorder never calls back into this module, so the read
+/// lock is never re-entered. Lock-free while no recorder is installed.
+fn with_recorder(f: impl FnOnce(&Arc<FlightRecorder>)) {
+    if !tracing_enabled() {
         return;
     }
-    let subscriber = subscriber_slot().clone();
-    if let Some(s) = subscriber {
-        f(&*s);
+    if let Some(rec) = &*RECORDER.read().unwrap_or_else(|e| e.into_inner()) {
+        f(rec);
     }
 }
 
-/// Whether a span/event with `name` would currently be recorded. The
-/// flight recorder records unconditionally, so its presence enables
-/// every name; otherwise the subscriber's filter decides.
-pub fn enabled_for(name: &str) -> bool {
-    if !ENABLED.load(Ordering::Acquire) {
-        return false;
-    }
-    if REC_PRESENT.load(Ordering::Acquire) {
-        return true;
-    }
-    let mut yes = false;
-    with_subscriber(|s| yes = s.enabled(name));
-    yes
+/// The installed flight recorder, if any.
+pub fn recorder() -> Option<Arc<FlightRecorder>> {
+    let mut found = None;
+    with_recorder(|rec| found = Some(Arc::clone(rec)));
+    found
 }
 
-/// True when any subscriber is installed (one relaxed atomic load; the
+/// True when a recorder is installed (one relaxed atomic load; the
 /// hot-path check).
 pub fn tracing_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Emits a point-in-time event to the subscriber, if one is installed
-/// and enables `name`, and into the flight recorder's event log.
-pub fn event(name: &'static str, message: &str, ctx: SpanContext) {
-    with_subscriber(|s| {
-        if s.enabled(name) {
-            s.on_event(name, message, ctx);
-        }
-    });
-    if let Some(rec) = recorder() {
-        rec.record_event(name, message, "", 0, ctx.trace_id);
-    }
-}
-
-/// Emits a structured fault event — retries, reconnects, liveness
-/// transitions, pool/credit exhaustion — into the flight recorder's
-/// bounded event log (and, human-formatted, to the subscriber). Fields
-/// that do not apply may be empty / zero. Costs one relaxed atomic load
-/// when neither a recorder nor a subscriber is installed.
+/// Emits a structured event — retries, reconnects, liveness transitions,
+/// pool/credit exhaustion, slow-op reports — into the flight recorder's
+/// bounded event log. Fields that do not apply may be empty / zero.
+/// Costs one relaxed atomic load when no recorder is installed.
 pub fn structured_event(kind: &'static str, op: &str, addr: &str, attempt: u64, trace_id: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    if let Some(rec) = recorder() {
-        rec.record_event(kind, op, addr, attempt, trace_id);
-    }
-    with_subscriber(|s| {
-        if s.enabled(kind) {
-            let ctx = SpanContext {
-                trace_id,
-                span_id: 0,
-            };
-            s.on_event(kind, &format!("op={op} addr={addr} attempt={attempt}"), ctx);
-        }
-    });
+    with_recorder(|rec| rec.record_event(kind, op, addr, attempt, trace_id));
 }
 
 // ---------------------------------------------------------------------------
 // Span
 // ---------------------------------------------------------------------------
 
-/// A named unit of work; reports its duration to the subscriber on drop.
+/// A named unit of work; reports its duration to the recorder on drop.
 ///
 /// Spans always carry real ids (so trace ids can propagate on the wire
-/// even while tracing output is off) but only start a timer — and only
-/// report on drop — when a subscriber enabling their name was installed
-/// at creation time.
+/// even while tracing is off) but only start a timer — and only report
+/// on drop — when a recorder was installed at creation time.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
@@ -296,45 +199,32 @@ pub struct Span {
 }
 
 impl Span {
-    fn new(name: &'static str, ctx: SpanContext, parent_span: u64, remote: bool) -> Span {
-        let start = if enabled_for(name) {
-            Some(Instant::now())
-        } else {
-            None
-        };
+    /// A span with a fresh span id in trace `trace_id`.
+    fn new(name: &'static str, trace_id: u64, parent_span: u64, remote: bool) -> Span {
+        let span_id = next_id();
         Span {
             name,
-            ctx,
+            ctx: SpanContext { trace_id, span_id },
             parent_span,
             remote,
-            start,
+            start: tracing_enabled().then(Instant::now),
             err: Cell::new(false),
         }
     }
 
     /// Starts a new trace: fresh trace id, no parent.
     pub fn root(name: &'static str) -> Span {
-        let ctx = SpanContext {
-            trace_id: next_id(),
-            span_id: next_id(),
-        };
-        Span::new(name, ctx, 0, false)
+        Span::new(name, next_id(), 0, false)
     }
 
     /// Continues a trace that arrived over the wire. The parent span ran
     /// in another process, so the record is marked `remote` with no local
     /// parent. A zero `trace_id` (untraced peer) starts a fresh trace.
     pub fn remote(name: &'static str, trace_id: u64) -> Span {
-        let (trace_id, remote) = if trace_id == 0 {
-            (next_id(), false)
-        } else {
-            (trace_id, true)
-        };
-        let ctx = SpanContext {
-            trace_id,
-            span_id: next_id(),
-        };
-        Span::new(name, ctx, 0, remote)
+        if trace_id == 0 {
+            return Span::root(name);
+        }
+        Span::new(name, trace_id, 0, true)
     }
 
     /// A child span within the same process. With a [`SpanContext::NONE`]
@@ -343,11 +233,7 @@ impl Span {
         if parent.is_none() {
             return Span::root(name);
         }
-        let ctx = SpanContext {
-            trace_id: parent.trace_id,
-            span_id: next_id(),
-        };
-        Span::new(name, ctx, parent.span_id, false)
+        Span::new(name, parent.trace_id, parent.span_id, false)
     }
 
     /// An inert span: no ids, no timing, nothing reported on drop.
@@ -362,9 +248,8 @@ impl Span {
         }
     }
 
-    /// Marks this span as failed. The record carries the flag to
-    /// subscribers, and the flight recorder's tail-based retention pins
-    /// error spans so they survive ring churn.
+    /// Marks this span as failed: the flight recorder's tail-based
+    /// retention pins error spans so they survive ring churn.
     pub fn set_error(&self) {
         self.err.set(true);
     }
@@ -394,125 +279,16 @@ impl Drop for Span {
             duration: start.elapsed(),
             err: self.err.get(),
         };
-        with_subscriber(|s| {
-            if s.enabled(record.name) {
-                s.on_span_close(&record);
-            }
-        });
-        if let Some(rec) = recorder() {
-            rec.push_span(&record);
-        }
+        with_recorder(|rec| rec.push_span(&record));
     }
 }
 
-// ---------------------------------------------------------------------------
-// Subscribers
-// ---------------------------------------------------------------------------
-
-/// Collects every span and event in memory; for tests.
-#[derive(Debug, Default)]
-pub struct CapturingSubscriber {
-    spans: Mutex<Vec<SpanRecord>>,
-    events: Mutex<Vec<(String, String, SpanContext)>>,
-}
-
-impl CapturingSubscriber {
-    /// Creates an empty capture buffer.
-    pub fn new() -> Arc<CapturingSubscriber> {
-        Arc::new(CapturingSubscriber::default())
-    }
-
-    /// Creates a capture buffer and installs it as the global subscriber.
-    pub fn install() -> Arc<CapturingSubscriber> {
-        let sub = CapturingSubscriber::new();
-        set_subscriber(Some(Arc::clone(&sub) as Arc<dyn Subscriber>));
-        sub
-    }
-
-    /// All spans closed so far.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// All events emitted so far.
-    pub fn events(&self) -> Vec<(String, String, SpanContext)> {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-}
-
-impl Subscriber for CapturingSubscriber {
-    fn enabled(&self, _name: &str) -> bool {
-        true
-    }
-
-    fn on_span_close(&self, span: &SpanRecord) {
-        self.spans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(span.clone());
-    }
-
-    fn on_event(&self, name: &str, message: &str, ctx: SpanContext) {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).push((
-            name.to_string(),
-            message.to_string(),
-            ctx,
-        ));
-    }
-}
-
-/// Prints span closures and events to stderr, filtered by name prefixes.
-#[derive(Debug)]
-pub struct StderrSubscriber {
-    /// Span-name prefixes to print; empty means everything.
-    prefixes: Vec<String>,
-}
-
-impl StderrSubscriber {
-    /// A subscriber printing spans whose name starts with any of
-    /// `prefixes` (all spans when empty).
-    pub fn new(prefixes: Vec<String>) -> StderrSubscriber {
-        StderrSubscriber { prefixes }
-    }
-}
-
-impl Subscriber for StderrSubscriber {
-    fn enabled(&self, name: &str) -> bool {
-        self.prefixes.is_empty() || self.prefixes.iter().any(|p| name.starts_with(p.as_str()))
-    }
-
-    fn on_span_close(&self, span: &SpanRecord) {
-        eprintln!(
-            "[trace {:016x}] {} span={:016x} parent={:016x}{} {:?}",
-            span.trace_id,
-            span.name,
-            span.span_id,
-            span.parent_span,
-            if span.remote { " remote" } else { "" },
-            span.duration,
-        );
-    }
-
-    fn on_event(&self, name: &str, message: &str, ctx: SpanContext) {
-        if ctx.is_none() {
-            eprintln!("[trace] {name}: {message}");
-        } else {
-            eprintln!("[trace {:016x}] {name}: {message}", ctx.trace_id);
-        }
-    }
-}
-
-/// Parses a `GLIDER_TRACE`/`RUST_LOG`-style value into a subscriber
-/// choice: `None` when tracing should stay off, otherwise the name
-/// prefixes to print (empty = everything).
+/// Parses a `GLIDER_TRACE` value: `None` when tracing should stay off,
+/// otherwise the span-name prefixes to echo (empty = everything).
 fn parse_filter(value: &str) -> Option<Vec<String>> {
-    let value = value.trim();
-    match value {
+    match value.trim() {
         "" | "0" | "off" | "none" => None,
-        "1" | "all" | "trace" | "debug" | "info" => Some(Vec::new()),
+        "1" | "all" => Some(Vec::new()),
         list => Some(
             list.split(',')
                 .map(|p| p.trim().to_string())
@@ -522,16 +298,15 @@ fn parse_filter(value: &str) -> Option<Vec<String>> {
     }
 }
 
-/// Installs a [`StderrSubscriber`] when `GLIDER_TRACE` (preferred) or
-/// `RUST_LOG` enables tracing; leaves tracing off otherwise. Returns
-/// whether a subscriber was installed.
+/// Installs a stderr-echoing [`FlightRecorder`] when `GLIDER_TRACE`
+/// enables tracing (a server started afterwards shares it through
+/// [`install_recorder`]); leaves tracing off otherwise. Returns whether
+/// a recorder was installed.
 pub fn init_from_env() -> bool {
-    let value = std::env::var("GLIDER_TRACE")
-        .or_else(|_| std::env::var("RUST_LOG"))
-        .unwrap_or_default();
+    let value = std::env::var("GLIDER_TRACE").unwrap_or_default();
     match parse_filter(&value) {
         Some(prefixes) => {
-            set_subscriber(Some(Arc::new(StderrSubscriber::new(prefixes))));
+            set_recorder(Some(Arc::new(FlightRecorder::new().with_echo(prefixes))));
             true
         }
         None => false,
@@ -541,13 +316,24 @@ pub fn init_from_env() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
-    // The subscriber registry is process-global, so tests that install
-    // one must not run concurrently with each other.
+    // The recorder slot is process-global, so tests that install one
+    // must not run concurrently with each other.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `work` with a fresh recorder installed; returns the recorder,
+    /// uninstalled again.
+    fn recorded(work: impl FnOnce()) -> Arc<FlightRecorder> {
+        let rec = Arc::new(FlightRecorder::with_capacity(64, 64, 64));
+        set_recorder(Some(Arc::clone(&rec)));
+        work();
+        set_recorder(None);
+        rec
     }
 
     #[test]
@@ -563,27 +349,23 @@ mod tests {
     #[test]
     fn disabled_spans_report_nothing() {
         let _guard = serial();
-        set_subscriber(None);
+        set_recorder(None);
         let root = Span::root("t.root");
         assert_ne!(root.trace_id(), 0, "ids flow even when tracing is off");
-        drop(root);
-        // Installing after the fact must not resurrect old spans.
-        let sub = CapturingSubscriber::install();
-        assert!(sub.spans().is_empty());
-        set_subscriber(None);
+        // Installing after the fact must not resurrect the untimed span.
+        let rec = recorded(|| drop(root));
+        assert_eq!(rec.last_seq(), 0);
     }
 
     #[test]
     fn disabled_capture_is_one_flag_load() {
         let _guard = serial();
-        set_subscriber(None);
         set_recorder(None);
-        // The acceptance bar for always-on tracing: with neither a
-        // subscriber nor a recorder installed, span capture costs one
-        // atomic flag load. Everything downstream of that load must be
-        // skipped — observable as: no timer is ever started (so drop
-        // returns before touching the registry), and structured events
-        // return at the same flag.
+        // The acceptance bar for always-on tracing: with no recorder
+        // installed, span capture costs one atomic flag load. Everything
+        // downstream of that load must be skipped — observable as: no
+        // timer is ever started (so drop returns before touching the
+        // slot), and structured events return at the same flag.
         assert!(!tracing_enabled());
         let span = Span::root("t.cold");
         assert!(
@@ -603,17 +385,14 @@ mod tests {
     #[test]
     fn span_tree_links_parents_and_trace() {
         let _guard = serial();
-        let sub = CapturingSubscriber::install();
-        let root = Span::root("t.a");
-        let child = Span::child_of(root.context(), "t.b");
-        let grandchild = Span::child_of(child.context(), "t.c");
-        let trace = root.trace_id();
-        drop(grandchild);
-        drop(child);
-        drop(root);
-        set_subscriber(None);
-
-        let spans = sub.spans();
+        let mut trace = 0;
+        let rec = recorded(|| {
+            let root = Span::root("t.a");
+            let child = Span::child_of(root.context(), "t.b");
+            drop(Span::child_of(child.context(), "t.c"));
+            trace = root.trace_id();
+        });
+        let spans = rec.snapshot(0, 0).spans;
         assert_eq!(spans.len(), 3);
         assert!(spans.iter().all(|s| s.trace_id == trace));
         let by_name = |n: &str| spans.iter().find(|s| s.name == n).unwrap();
@@ -625,72 +404,52 @@ mod tests {
     #[test]
     fn remote_spans_continue_the_wire_trace() {
         let _guard = serial();
-        let sub = CapturingSubscriber::install();
-        drop(Span::remote("t.remote", 42));
-        drop(Span::remote("t.fresh", 0));
-        set_subscriber(None);
-        let spans = sub.spans();
-        let remote = spans.iter().find(|s| s.name == "t.remote").unwrap();
-        assert_eq!(remote.trace_id, 42);
-        assert!(remote.remote);
-        let fresh = spans.iter().find(|s| s.name == "t.fresh").unwrap();
-        assert_ne!(fresh.trace_id, 0);
-        assert!(!fresh.remote);
+        let rec = recorded(|| {
+            drop(Span::remote("t.remote", 42));
+            drop(Span::remote("t.fresh", 0));
+        });
+        let spans = rec.snapshot(0, 0).spans;
+        assert_eq!((spans[0].name, spans[0].trace_id), ("t.remote", 42));
+        assert!(spans[0].remote);
+        assert_eq!(spans[1].name, "t.fresh");
+        assert_ne!(spans[1].trace_id, 0);
+        assert!(!spans[1].remote);
     }
 
     #[test]
     fn none_spans_are_inert() {
         let _guard = serial();
-        let sub = CapturingSubscriber::install();
-        let span = Span::none();
-        assert!(span.context().is_none());
-        drop(span);
-        // child_of(NONE) becomes a root.
-        let orphan = Span::child_of(SpanContext::NONE, "t.orphan");
-        assert_ne!(orphan.trace_id(), 0);
-        drop(orphan);
-        set_subscriber(None);
-        let spans = sub.spans();
+        let rec = recorded(|| {
+            let span = Span::none();
+            assert!(span.context().is_none());
+            drop(span);
+            // child_of(NONE) becomes a root.
+            let orphan = Span::child_of(SpanContext::NONE, "t.orphan");
+            assert_ne!(orphan.trace_id(), 0);
+        });
+        let spans = rec.snapshot(0, 0).spans;
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "t.orphan");
         assert_eq!(spans[0].parent_span, 0);
     }
 
     #[test]
-    fn events_reach_the_subscriber() {
+    fn events_reach_the_recorder() {
         let _guard = serial();
-        let sub = CapturingSubscriber::install();
-        event("t.slow-op", "write-block took 12ms", SpanContext::NONE);
-        set_subscriber(None);
-        event("t.slow-op", "dropped after uninstall", SpanContext::NONE);
-        let events = sub.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].0, "t.slow-op");
-    }
-
-    #[test]
-    fn recorder_and_subscriber_coexist() {
-        let _guard = serial();
-        let sub = CapturingSubscriber::install();
-        let rec = Arc::new(FlightRecorder::with_capacity(16, 16, 16));
-        set_recorder(Some(Arc::clone(&rec)));
-        let root = Span::root("t.both");
-        let trace = root.trace_id();
-        drop(root);
-        set_recorder(None);
-        set_subscriber(None);
-
-        assert_eq!(sub.spans().len(), 1, "subscriber still sees spans");
-        let snap = rec.snapshot(trace, 0);
-        assert_eq!(snap.spans.len(), 1, "recorder sees the same span");
-        assert_eq!(snap.spans[0].name, "t.both");
-        assert_eq!(snap.spans[0].trace_id, trace);
+        let rec = recorded(|| structured_event("t.slow-op", "write-block took 12ms", "", 0, 0));
+        structured_event("t.slow-op", "dropped after uninstall", "", 0, 0);
+        drop(Span::root("t.after-uninstall"));
+        let snap = rec.snapshot(0, 0);
+        assert_eq!(snap.events.len(), 1);
+        assert_eq!(snap.events[0].kind, "t.slow-op");
+        assert_eq!(snap.events[0].op, "write-block took 12ms");
+        assert_eq!(rec.last_seq(), 1, "nothing is recorded after uninstall");
     }
 
     #[test]
     fn recorder_alone_enables_capture_and_error_pinning() {
         let _guard = serial();
-        set_subscriber(None);
+        set_recorder(None);
         assert!(!tracing_enabled());
         let rec = install_recorder();
         assert!(tracing_enabled(), "recorder alone turns capture on");
@@ -716,27 +475,43 @@ mod tests {
     }
 
     #[test]
-    fn filter_parsing_matches_env_conventions() {
-        assert_eq!(parse_filter(""), None);
-        assert_eq!(parse_filter("off"), None);
-        assert_eq!(parse_filter("0"), None);
-        assert_eq!(parse_filter("none"), None);
-        assert_eq!(parse_filter("all"), Some(vec![]));
-        assert_eq!(parse_filter("1"), Some(vec![]));
-        assert_eq!(parse_filter("info"), Some(vec![]));
-        assert_eq!(
-            parse_filter("rpc, action"),
-            Some(vec!["rpc".to_string(), "action".to_string()])
-        );
+    fn swapping_recorders_under_load_loses_no_seq() {
+        let _guard = serial();
+        // Rings that outsize the load: nothing is evicted, so a
+        // recorder retains exactly the pushes it received.
+        let big = || Arc::new(FlightRecorder::with_capacity(1 << 15, 1 << 15, 1));
+        let (a, b) = (big(), big());
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            let close = || {
+                start.wait();
+                (0..10_000).for_each(|_| drop(Span::root("t.swap")));
+            };
+            let closers = [s.spawn(close), s.spawn(close)];
+            start.wait();
+            while !closers.iter().all(|c| c.is_finished()) {
+                set_recorder(Some(Arc::clone(&a)));
+                set_recorder(Some(Arc::clone(&b)));
+                set_recorder(None);
+            }
+        });
+        for rec in [a, b] {
+            let seqs: Vec<u64> = rec.snapshot(0, 0).spans.iter().map(|s| s.seq).collect();
+            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seqs increase");
+            assert_eq!(seqs.len() as u64, rec.last_seq(), "one seq per push");
+        }
     }
 
     #[test]
-    fn stderr_subscriber_prefix_filter() {
-        let all = StderrSubscriber::new(vec![]);
-        assert!(all.enabled("anything"));
-        let some = StderrSubscriber::new(vec!["rpc".into(), "action".into()]);
-        assert!(some.enabled("rpc.dispatch"));
-        assert!(some.enabled("action.queue"));
-        assert!(!some.enabled("meta.handle"));
+    fn filter_parsing_matches_env_conventions() {
+        for off in ["", "off", "0", "none"] {
+            assert_eq!(parse_filter(off), None);
+        }
+        assert_eq!(parse_filter("all"), Some(vec![]));
+        assert_eq!(parse_filter("1"), Some(vec![]));
+        // Level words are not special: `info` is a prefix like any other.
+        let prefixes = |l: &[&str]| Some(l.iter().map(|p| p.to_string()).collect::<Vec<_>>());
+        assert_eq!(parse_filter("info"), prefixes(&["info"]));
+        assert_eq!(parse_filter("rpc, action"), prefixes(&["rpc", "action"]));
     }
 }

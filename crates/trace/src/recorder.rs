@@ -17,7 +17,7 @@
 use crate::SpanRecord;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// Default capacity of the churn ring (ordinary completed spans).
@@ -26,9 +26,26 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 pub const DEFAULT_PINNED_CAPACITY: usize = 1024;
 /// Default capacity of the structured event log.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
-/// Default slow-span pin threshold (100ms), overridable per recorder and
-/// via `GLIDER_SLOW_OP_MS` (shared with the metrics slow-op reporter).
-pub const DEFAULT_SLOW_NS: u64 = 100_000_000;
+/// Default slow-span pin threshold, overridable per recorder and via
+/// `GLIDER_SLOW_OP_MS` (see [`slow_op_threshold`]).
+pub const DEFAULT_SLOW: Duration = Duration::from_millis(100);
+
+/// Parses a `GLIDER_SLOW_OP_MS` value: a whole number of milliseconds,
+/// where `0` means "off". Anything else (including the empty string)
+/// is `None`, which callers treat like an unset variable.
+pub fn parse_slow_op_ms(value: &str) -> Option<Duration> {
+    value.trim().parse().ok().map(Duration::from_millis)
+}
+
+/// The process-wide slow-op threshold, read from `GLIDER_SLOW_OP_MS`
+/// once. It is the single knob behind both slow-span pinning here and
+/// the metrics slow-op reporter: unset (or unparsable) is `None` — the
+/// recorder pins at its 100ms default and metrics reports nothing —
+/// `0` switches both off, `N` sets both to `N` ms.
+pub fn slow_op_threshold() -> Option<Duration> {
+    static THRESHOLD: OnceLock<Option<Duration>> = OnceLock::new();
+    *THRESHOLD.get_or_init(|| parse_slow_op_ms(&std::env::var("GLIDER_SLOW_OP_MS").ok()?))
+}
 
 /// One retained span, as kept by (and dumped from) the recorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +109,10 @@ pub struct RecorderSnapshot {
 #[derive(Debug)]
 pub struct FlightRecorder {
     seq: AtomicU64,
-    slow_ns: AtomicU64,
+    slow: Duration,
+    /// Span-name / event-kind prefixes echoed to stderr as they are
+    /// recorded (`GLIDER_TRACE`); `None` echoes nothing, empty everything.
+    echo: Option<Vec<String>>,
     dropped_spans: AtomicU64,
     dropped_events: AtomicU64,
     span_cap: usize,
@@ -115,29 +135,23 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl FlightRecorder {
-    /// A recorder with default capacities. The slow threshold honors
-    /// `GLIDER_SLOW_OP_MS` (the same knob as the metrics slow-op
-    /// reporter), defaulting to 100ms.
+    /// A recorder with default capacities, pinning spans at or over
+    /// [`slow_op_threshold`] (100ms when that is unset).
     pub fn new() -> FlightRecorder {
-        let slow_ns = std::env::var("GLIDER_SLOW_OP_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(|ms| ms.saturating_mul(1_000_000))
-            .filter(|&ns| ns != 0)
-            .unwrap_or(DEFAULT_SLOW_NS);
         FlightRecorder::with_capacity(
             DEFAULT_SPAN_CAPACITY,
             DEFAULT_PINNED_CAPACITY,
             DEFAULT_EVENT_CAPACITY,
         )
-        .with_slow_threshold(Duration::from_nanos(slow_ns))
+        .with_slow_threshold(slow_op_threshold().unwrap_or(DEFAULT_SLOW))
     }
 
     /// A recorder with explicit ring capacities (each clamped to ≥ 1).
     pub fn with_capacity(span_cap: usize, pinned_cap: usize, event_cap: usize) -> FlightRecorder {
         FlightRecorder {
             seq: AtomicU64::new(1),
-            slow_ns: AtomicU64::new(DEFAULT_SLOW_NS),
+            slow: DEFAULT_SLOW,
+            echo: None,
             dropped_spans: AtomicU64::new(0),
             dropped_events: AtomicU64::new(0),
             span_cap: span_cap.max(1),
@@ -151,23 +165,39 @@ impl FlightRecorder {
 
     /// Sets the slow-span pin threshold; spans at or over it are pinned.
     /// Zero disables slow pinning (error spans stay pinned).
-    pub fn with_slow_threshold(self, threshold: Duration) -> FlightRecorder {
-        self.set_slow_threshold(threshold);
+    pub fn with_slow_threshold(mut self, threshold: Duration) -> FlightRecorder {
+        self.slow = threshold;
         self
     }
 
-    /// Adjusts the slow-span pin threshold of a live recorder.
-    pub fn set_slow_threshold(&self, threshold: Duration) {
-        let ns = threshold.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.slow_ns.store(ns, Ordering::Relaxed);
+    /// Also prints every span and event whose name starts with one of
+    /// `prefixes` (all of them when empty) to stderr as it is recorded.
+    pub(crate) fn with_echo(mut self, prefixes: Vec<String>) -> FlightRecorder {
+        self.echo = Some(prefixes);
+        self
+    }
+
+    fn echoes(&self, name: &str) -> bool {
+        self.echo
+            .as_ref()
+            .is_some_and(|p| p.is_empty() || p.iter().any(|p| name.starts_with(p.as_str())))
     }
 
     /// Records one closed span, deciding its retention class.
     pub fn push_span(&self, record: &SpanRecord) {
+        if self.echoes(record.name) {
+            eprintln!(
+                "[trace {:016x}] {} span={:016x} parent={:016x}{} {:?}",
+                record.trace_id,
+                record.name,
+                record.span_id,
+                record.parent_span,
+                if record.remote { " remote" } else { "" },
+                record.duration,
+            );
+        }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let slow_ns = self.slow_ns.load(Ordering::Relaxed);
-        let ns = record.duration.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let pinned = record.err || (slow_ns != 0 && ns >= slow_ns);
+        let pinned = record.err || (!self.slow.is_zero() && record.duration >= self.slow);
         let span = CompletedSpan {
             seq,
             name: record.name,
@@ -194,6 +224,9 @@ impl FlightRecorder {
 
     /// Appends one structured event to the bounded event log.
     pub fn record_event(&self, kind: &str, op: &str, addr: &str, attempt: u64, trace_id: u64) {
+        if self.echoes(kind) {
+            eprintln!("[trace {trace_id:016x}] {kind}: op={op} addr={addr} attempt={attempt}");
+        }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let ev = StructuredEvent {
             seq,
@@ -336,5 +369,35 @@ mod tests {
         assert_eq!(snap.events.len(), 3);
         assert_eq!(snap.dropped_events, 7);
         assert_eq!(snap.events.last().unwrap().attempt, 9);
+    }
+
+    #[test]
+    fn echo_filter_matches_name_prefixes() {
+        let rec = || FlightRecorder::with_capacity(4, 4, 4);
+        assert!(!rec().echoes("rpc.dispatch"), "no echo unless asked for");
+        assert!(rec().with_echo(vec![]).echoes("anything"), "empty = all");
+        let some = rec().with_echo(vec!["rpc".into(), "action".into()]);
+        assert!(some.echoes("rpc.dispatch"));
+        assert!(some.echoes("action.queue"));
+        assert!(!some.echoes("meta.handle"));
+    }
+
+    #[test]
+    fn slow_op_ms_is_whole_milliseconds_or_unset() {
+        let ms = |n| Some(Duration::from_millis(n));
+        // Unparsable means `None`, which is also what an unset variable gives.
+        for (value, want) in [("", None), ("fast", None), ("0", ms(0)), (" 250 ", ms(250))] {
+            assert_eq!(parse_slow_op_ms(value), want, "GLIDER_SLOW_OP_MS={value:?}");
+        }
+    }
+
+    #[test]
+    fn zero_threshold_pins_errors_but_not_slow_spans() {
+        let rec = FlightRecorder::with_capacity(4, 4, 4).with_slow_threshold(Duration::ZERO);
+        rec.push_span(&record("t.ten-seconds", 1, 10_000, false));
+        rec.push_span(&record("t.err", 2, 0, true));
+        let spans = rec.snapshot(0, 0).spans;
+        assert!(!spans[0].pinned, "0 switches slow pinning off");
+        assert!(spans[1].pinned, "error spans stay pinned");
     }
 }

@@ -3,13 +3,15 @@
 //! replacement, the lease sweeper reports it dead, and best-effort paths
 //! (delete, lookup-cache eviction) degrade gracefully.
 //!
-//! Note: the first test installs the process-global [`CapturingSubscriber`];
-//! it only asserts span *presence*, so spans leaking in from the other
-//! tests in this binary are harmless.
+//! Note: the first test installs a large process-global flight recorder
+//! (so a 64 MiB run cannot age `writer.recover` out of the default
+//! 4096-span ring) that the other tests' clusters then share; it only
+//! asserts span *presence*, so their spans leaking in are harmless.
 
 use bytes::Bytes;
 use glider_core::{ByteSize, Cluster, ClusterConfig, ErrorCode, StoreClient};
-use glider_trace::CapturingSubscriber;
+use glider_trace::{set_recorder, FlightRecorder};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn pattern(len: usize) -> Vec<u8> {
@@ -36,7 +38,8 @@ async fn await_dead(cluster: &Cluster, deadline: Duration) {
 /// back intact, and the recovery left a trace span.
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn writer_survives_storage_server_death_mid_stream() {
-    let sub = CapturingSubscriber::install();
+    let rec = Arc::new(FlightRecorder::with_capacity(1 << 20, 1024, 1024));
+    set_recorder(Some(Arc::clone(&rec)));
     let lease = Duration::from_millis(300);
     let cluster = Cluster::start(
         ClusterConfig::default()
@@ -74,7 +77,10 @@ async fn writer_survives_storage_server_death_mid_stream() {
 
     // The recovery is visible in the trace tree.
     assert!(
-        sub.spans().iter().any(|s| s.name == "writer.recover"),
+        rec.snapshot(0, 0)
+            .spans
+            .iter()
+            .any(|s| s.name == "writer.recover"),
         "no writer.recover span recorded"
     );
 

@@ -2,14 +2,15 @@
 //! tree — client.call → rpc.dispatch → active.handle → action.queue →
 //! action.run — all sharing a single trace id.
 //!
-//! This file holds exactly one test: the trace subscriber is
+//! This file holds exactly one test: the flight recorder is
 //! process-global, and a second test running concurrently in the same
-//! binary would see (and pollute) the capture buffer.
+//! binary would see (and pollute) the ring.
 
 use glider_core::proto::types::ActionSpec;
 use glider_core::{Cluster, ClusterConfig};
-use glider_trace::{set_subscriber, CapturingSubscriber, SpanRecord};
+use glider_trace::{set_recorder, CompletedSpan, FlightRecorder};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 const TREE: [&str; 5] = [
@@ -22,8 +23,8 @@ const TREE: [&str; 5] = [
 
 /// Groups spans by trace id and returns the first group containing every
 /// span name of the expected tree.
-fn find_full_trace(spans: &[SpanRecord]) -> Option<Vec<SpanRecord>> {
-    let mut by_trace: HashMap<u64, Vec<SpanRecord>> = HashMap::new();
+fn find_full_trace(spans: &[CompletedSpan]) -> Option<Vec<CompletedSpan>> {
+    let mut by_trace: HashMap<u64, Vec<CompletedSpan>> = HashMap::new();
     for s in spans {
         by_trace.entry(s.trace_id).or_default().push(s.clone());
     }
@@ -35,7 +36,10 @@ fn find_full_trace(spans: &[SpanRecord]) -> Option<Vec<SpanRecord>> {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
 async fn one_client_op_produces_a_connected_span_tree() {
-    let sub = CapturingSubscriber::install();
+    // Installed before the cluster starts, which then shares it
+    // (`install_recorder` is get-or-create).
+    let rec = Arc::new(FlightRecorder::with_capacity(1 << 20, 1024, 1024));
+    set_recorder(Some(Arc::clone(&rec)));
 
     let cluster = Cluster::start(ClusterConfig::default()).await.unwrap();
     let store = cluster.client().await.unwrap();
@@ -52,19 +56,20 @@ async fn one_client_op_produces_a_connected_span_tree() {
     // after the client's call returns; poll briefly for the full tree.
     let mut group = None;
     for _ in 0..100 {
-        group = find_full_trace(&sub.spans());
+        group = find_full_trace(&rec.snapshot(0, 0).spans);
         if group.is_some() {
             break;
         }
         tokio::time::sleep(Duration::from_millis(20)).await;
     }
-    set_subscriber(None);
+    set_recorder(None);
     cluster.shutdown();
 
     let group = group.unwrap_or_else(|| {
         panic!(
             "no trace contains the full span tree; captured: {:?}",
-            sub.spans()
+            rec.snapshot(0, 0)
+                .spans
                 .iter()
                 .map(|s| (s.name, s.trace_id))
                 .collect::<Vec<_>>()
