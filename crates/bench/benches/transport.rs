@@ -1,14 +1,9 @@
 //! Ablation: TCP vs the in-process RDMA-simulation transport for
 //! action traffic (the substitution behind Table 2's "Glider (RDMA)"
-//! row — see DESIGN.md §4), plus a raw data-plane payload sweep
-//! (4 KiB → 4 MiB over TCP and `mem://`) that also refreshes the
-//! `BENCH_transport.json` baseline at the repository root.
+//! row — see DESIGN.md §4).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use glider_bench::transport::{
-    baseline_from_env, render_transport_json, sweep_transport, SWEEP_SIZES, SWEEP_WINDOW,
-};
 use glider_core::{ActionSpec, Cluster, ClusterConfig};
 use glider_util::ByteSize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,59 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static UNIQUE: AtomicU64 = AtomicU64::new(0);
 
 const TRANSFER: u64 = 4 * 1024 * 1024;
-
-/// Bytes moved per direction per payload size in the sweep (kept modest so
-/// `cargo bench` stays quick; the `transport_sweep` binary scales it up).
-const SWEEP_TOTAL: u64 = 64 * 1024 * 1024;
-
-fn bench_payload_sweep(c: &mut Criterion) {
-    let rt = glider_bench::runtime();
-    let mut group = c.benchmark_group("transport_payload");
-    group.sample_size(10);
-
-    for addr in ["127.0.0.1:0", "mem://bench-transport"] {
-        let name = if addr.starts_with("mem://") {
-            "mem"
-        } else {
-            "tcp"
-        };
-        for &size in SWEEP_SIZES {
-            group.throughput(Throughput::Bytes(size));
-            group.bench_with_input(
-                BenchmarkId::new(format!("write_{}", ByteSize::bytes(size)), name),
-                &size,
-                |b, &size| {
-                    b.to_async(&rt).iter(|| async move {
-                        sweep_transport(addr, &[size], size * 4, 4)
-                            .await
-                            .expect("sweep");
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-
-    // One full measured sweep to refresh the committed baseline document.
-    let samples = rt.block_on(async {
-        let mut all = Vec::new();
-        for addr in ["127.0.0.1:0", "mem://bench-transport-final"] {
-            all.extend(
-                sweep_transport(addr, SWEEP_SIZES, SWEEP_TOTAL, SWEEP_WINDOW)
-                    .await
-                    .expect("sweep"),
-            );
-        }
-        all
-    });
-    let doc = render_transport_json(&samples, baseline_from_env());
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_transport.json");
-    if let Err(err) = std::fs::write(&path, doc) {
-        eprintln!("could not write {}: {err}", path.display());
-    }
-}
 
 fn bench_transport(c: &mut Criterion) {
     let rt = glider_bench::runtime();
@@ -121,5 +63,5 @@ fn bench_transport(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_transport, bench_payload_sweep);
+criterion_group!(benches, bench_transport);
 criterion_main!(benches);

@@ -15,7 +15,7 @@ use glider_net::stats::{build_stats, render_stats_json};
 fn main() {
     let scale = scale_from_args();
     let rt = glider_bench::runtime();
-    let last_glider_metrics = rt.block_on(async move {
+    rt.block_on(async move {
         let records = scaled(100_000, scale);
         println!(
             "Fig. 7 — distributed sort, {records} records (100 B each) per worker (scale {scale})"
@@ -84,18 +84,12 @@ fn main() {
             last_glider_metrics = Some(glider.report.metrics.clone());
         }
 
-        last_glider_metrics
+        // Per-op latency percentiles of the largest Glider run, in the
+        // same schema as `glider stats --json`; redirect stdout to keep
+        // them.
+        if let Some(snapshot) = last_glider_metrics {
+            println!("per-op latency of the largest Glider run (`glider stats --json` schema):");
+            println!("{}", render_stats_json(&build_stats(&snapshot)));
+        }
     });
-
-    // Per-op latency percentiles of the largest Glider run, in the same
-    // schema as `glider stats --json`. Written outside the async block:
-    // blocking file I/O must not run on an executor thread.
-    if let Some(snapshot) = last_glider_metrics {
-        let doc = render_stats_json(&build_stats(&snapshot));
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_latency.json");
-        std::fs::write(&path, doc).expect("write BENCH_latency.json");
-        println!("wrote {}", path.display());
-    }
 }

@@ -19,23 +19,17 @@
 //!
 //! The Criterion benches (`benches/`) cover the micro side: stream
 //! bandwidth, the interleaving ablation, transport (TCP vs RDMA-sim),
-//! operation-window and block-size sweeps. They are gated behind the
-//! non-default `criterion-benches` feature so the sweep binaries build
-//! without the criterion dependency tree; the dependency-free sweeps
-//! (`transport_sweep`, `meta_sweep`, `actions_sweep`) cover CI's bench
-//! gate instead.
+//! operation-window and block-size sweeps. They are ordinary `[[bench]]`
+//! targets (`cargo bench -p glider-bench`). The performance gate of
+//! record is not here but in `BENCHMARK.json` → `benchmark/` (README.md,
+//! "Performance gate").
 
-pub mod actions;
 pub mod chaos;
-pub mod gate;
-pub mod meta;
-pub mod transport;
 
 use bytes::Bytes;
-use glider_core::{ActionSpec, Cluster, ClusterConfig, GliderResult, MetricsRegistry, StoreClient};
+use glider_core::{ActionSpec, Cluster, ClusterConfig, GliderResult, StoreClient};
 use glider_util::stopwatch::gbps;
 use glider_util::ByteSize;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Parses `--scale` from argv, falling back to `GLIDER_SCALE`, then 1.0.
@@ -336,11 +330,6 @@ pub fn secs(d: Duration) -> String {
 /// Formats bytes in binary units.
 pub fn bytes_h(b: u64) -> String {
     ByteSize::bytes(b).to_string()
-}
-
-/// A metrics registry shared by harness setups that need one up front.
-pub fn fresh_metrics() -> Arc<MetricsRegistry> {
-    MetricsRegistry::new()
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! Every Glider server answers [`RequestBody::Stats`] from its
 //! [`MetricsRegistry`] via [`build_stats`]; clients merge the payloads of
 //! many servers ([`glider_proto::stats::StatsPayload::merge`]) and render
-//! them with [`render_stats_table`] (human), [`render_stats_json`]
-//! (the bench harness's `BENCH_latency.json`), or [`render_stats_prom`]
-//! (Prometheus-style text exposition with per-bucket trace exemplars).
+//! them with [`render_stats_table`] (human), [`render_stats_json`], or
+//! [`render_stats_prom`] (Prometheus-style text exposition with
+//! per-bucket trace exemplars).
 //!
 //! The same uniform path serves the flight-recorder plane:
 //! [`build_span_dump`] snapshots the process [`FlightRecorder`] for
