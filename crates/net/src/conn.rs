@@ -219,7 +219,7 @@ impl TxInner {
                     let payload = encode_frame_header_tagged(&frame, stream, buf);
                     parts.push((start..buf.len(), payload));
                 }
-                let mut slices: Vec<&[u8]> = Vec::with_capacity(parts.len() * 2);
+                let mut slices: Vec<&[u8]> = Vec::with_capacity(parts.len() * 2); // glider: alloc-ok (one slice list per flush of a whole batch, not per frame)
                 for (header, payload) in parts.iter() {
                     // A Range<usize> clone, not a buffer copy:
                     let Some(header) = buf.get(header.clone()) else { // glider: alloc-ok (Range clone for slicing, no allocation)
@@ -266,7 +266,7 @@ async fn write_all_vectored(io: &mut OwnedWriteHalf, parts: &[&[u8]]) -> std::io
     // Index of the first unfinished part and the bytes of it already sent.
     let mut idx = 0;
     let mut offset = 0;
-    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(parts.len());
+    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(parts.len()); // glider: alloc-ok (one IoSlice list per flush; it borrows `parts`, so it cannot outlive the call)
     while let Some(part) = parts.get(idx) {
         if part.len() == offset {
             idx += 1;

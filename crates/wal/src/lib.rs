@@ -43,8 +43,10 @@
 //! # Crash semantics
 //!
 //! Appends go to the tail of the newest segment only, so a crash can
-//! tear at most the final record(s) of the final segment. On open, the
-//! last segment is scanned and truncated at the first short or
+//! tear at most the final record(s) of the final segment. On open,
+//! every record of every segment is verified, including those the
+//! snapshot covers (only the ones past it are copied into [`Replay`]).
+//! The last segment is truncated at the first short or
 //! checksum-failing record (torn-tail truncation); the same anomaly in
 //! any *earlier* segment is real corruption and fails the open. A
 //! record is only reported durable once [`Wal::sync_to`] has returned
@@ -53,15 +55,24 @@
 //!
 //! # Group commit
 //!
-//! Concurrent appenders write records under a short mutex and then
-//! race to `sync_to(lsn)`. The first caller through the sync mutex
-//! fsyncs the segment once and publishes the highest written LSN;
-//! everyone who queued behind it observes `synced_lsn >= lsn` and
-//! returns without issuing another fsync. Rotation fsyncs the outgoing
+//! An appender checksums its payload before taking the log mutex;
+//! under the mutex it only assembles header + payload in a buffer the
+//! log owns (no allocation per record) and hands the kernel the record
+//! in one `write`. Appenders then race to `sync_to(lsn)`. The first
+//! caller through the sync mutex fsyncs the segment once, through a
+//! shared handle and outside the log mutex, and publishes the highest
+//! written LSN; everyone who queued behind it observes `synced_lsn >=
+//! lsn` and returns without issuing another fsync. Rotation fsyncs the outgoing
 //! segment (unless the policy is `Never`), preserving the invariant
 //! that only the current segment can hold unsynced bytes.
 
 mod crc32;
+// The seeded generator of the crate's property tests; `frac` is unused
+// by the unit tests.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/common/lcg.rs"]
+mod lcg;
 
 pub use crc32::{crc32, Crc32};
 
@@ -69,7 +80,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Magic bytes opening every segment file.
@@ -86,6 +97,8 @@ pub const RECORD_HEADER_LEN: u64 = 8;
 /// treated as tail corruption rather than an allocation request.
 pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
+/// Size of the fixed snapshot header.
+const SNAPSHOT_HEADER_LEN: usize = 24;
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
@@ -160,10 +173,15 @@ pub struct WalStats {
 }
 
 struct Inner {
-    file: File,
+    /// The segment being appended to; shared so `sync_to` can fsync it
+    /// after releasing the log mutex.
+    file: Arc<File>,
     seg_index: u64,
     seg_len: u64,
     next_lsn: u64,
+    /// Where `append` assembles header + payload for its one `write`;
+    /// reused across appends, so it grows to the largest record seen.
+    record: Vec<u8>,
 }
 
 /// A segmented write-ahead log. Cheap to share behind an `Arc`; all
@@ -198,8 +216,9 @@ impl std::fmt::Debug for Wal {
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     // The WAL holds no invariant that a panicking appender could have
-    // broken mid-update (records are staged in a local buffer and
-    // written with one write_all), so poisoning is recoverable.
+    // broken mid-update (a record is staged in `Inner::record`, which
+    // the next append clears, and written with one write_all), so
+    // poisoning is recoverable.
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -264,14 +283,21 @@ fn create_segment(dir: &Path, index: u64, first_lsn: u64) -> io::Result<File> {
     Ok(file)
 }
 
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes([
+        bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
+    ])
+}
+
 fn read_segment_first_lsn(path: &Path) -> io::Result<u64> {
     let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
     File::open(path)?.read_exact(&mut header)?;
     check_segment_header(&header, path)?;
-    Ok(u64::from_le_bytes([
-        header[8], header[9], header[10], header[11], header[12], header[13], header[14],
-        header[15],
-    ]))
+    Ok(le_u64(&header[8..16]))
 }
 
 fn check_segment_header(header: &[u8], path: &Path) -> io::Result<()> {
@@ -290,52 +316,85 @@ fn check_segment_header(header: &[u8], path: &Path) -> io::Result<()> {
 
 struct SegScan {
     first_lsn: u64,
+    /// LSN the record after this segment's last intact one would get.
+    next_lsn: u64,
+    /// Payloads of the intact records past the snapshot.
     records: Vec<Vec<u8>>,
     /// Byte offset of the end of the last intact record.
     good_len: u64,
     torn: bool,
 }
 
-fn scan_segment(path: &Path, allow_torn: bool) -> io::Result<SegScan> {
-    let data = fs::read(path)?;
+/// One well-framed record of a segment image: its checksum and where
+/// its payload lies.
+struct Frame {
+    crc: u32,
+    start: usize,
+    end: usize,
+}
+
+/// The record framed at `off`, or `None` where the bytes from `off`
+/// cannot be one: a short header, a length over the cap, or a payload
+/// running past the end of `data`.
+fn frame_at(data: &[u8], off: usize) -> Option<Frame> {
+    let start = off.checked_add(RECORD_HEADER_LEN as usize)?;
+    let header = data.get(off..start)?;
+    let len = le_u32(header);
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let end = start.checked_add(len as usize)?;
+    (end <= data.len()).then(|| Frame {
+        crc: le_u32(&header[4..]),
+        start,
+        end,
+    })
+}
+
+/// Reads the segment at `path` into `data` (reused from segment to
+/// segment) and verifies every record in it; only those with an LSN
+/// above `snapshot_lsn` are copied out.
+fn scan_segment(
+    path: &Path,
+    allow_torn: bool,
+    snapshot_lsn: u64,
+    data: &mut Vec<u8>,
+) -> io::Result<SegScan> {
+    data.clear();
+    File::open(path)?.read_to_end(data)?;
     if data.len() < SEGMENT_HEADER_LEN as usize {
         return Err(invalid(format!("{}: short segment header", path.display())));
     }
-    check_segment_header(&data, path)?;
-    let first_lsn = u64::from_le_bytes([
-        data[8], data[9], data[10], data[11], data[12], data[13], data[14], data[15],
-    ]);
-    let mut records = Vec::new();
+    check_segment_header(data, path)?;
+    let first_lsn = le_u64(&data[8..16]);
+
+    // Size the result once: count the frames (cheap, lengths only) and
+    // take off those the snapshot covers.
+    let mut framed = 0u64;
     let mut off = SEGMENT_HEADER_LEN as usize;
-    let mut torn = false;
-    while off < data.len() {
-        if off + RECORD_HEADER_LEN as usize > data.len() {
-            torn = true;
-            break;
-        }
-        let len = u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]);
-        let crc = u32::from_le_bytes([data[off + 4], data[off + 5], data[off + 6], data[off + 7]]);
-        if len > MAX_RECORD_LEN {
-            torn = true;
-            break;
-        }
-        let start = off + RECORD_HEADER_LEN as usize;
-        let Some(end) = start.checked_add(len as usize) else {
-            torn = true;
-            break;
-        };
-        if end > data.len() {
-            torn = true;
-            break;
-        }
-        let payload = &data[start..end];
-        if crc32(payload) != crc {
-            torn = true;
-            break;
-        }
-        records.push(payload.to_vec());
-        off = end;
+    while let Some(frame) = frame_at(data, off) {
+        framed += 1;
+        off = frame.end;
     }
+    let covered = snapshot_lsn.saturating_add(1).saturating_sub(first_lsn);
+    let mut records = Vec::with_capacity(framed.saturating_sub(covered) as usize);
+
+    let mut lsn = first_lsn;
+    let mut off = SEGMENT_HEADER_LEN as usize;
+    while let Some(frame) = frame_at(data, off) {
+        let payload = &data[frame.start..frame.end];
+        if crc32(payload) != frame.crc {
+            break;
+        }
+        if lsn > snapshot_lsn {
+            records.push(payload.to_vec());
+        }
+        lsn += 1;
+        off = frame.end;
+    }
+    // Anything left is a record that is short, over the cap or fails
+    // its checksum.
+    let torn = off < data.len();
     if torn && !allow_torn {
         return Err(invalid(format!(
             "{}: corrupt record at offset {off} in non-final segment",
@@ -344,6 +403,7 @@ fn scan_segment(path: &Path, allow_torn: bool) -> io::Result<SegScan> {
     }
     Ok(SegScan {
         first_lsn,
+        next_lsn: lsn,
         records,
         good_len: off as u64,
         torn,
@@ -352,46 +412,52 @@ fn scan_segment(path: &Path, allow_torn: bool) -> io::Result<SegScan> {
 
 fn read_snapshot(dir: &Path) -> io::Result<Option<(u64, Vec<u8>)>> {
     let path = dir.join(SNAPSHOT_FILE);
-    let data = match fs::read(&path) {
-        Ok(data) => data,
+    let mut file = match File::open(&path) {
+        Ok(file) => file,
         Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(err) => return Err(err),
     };
-    if data.len() < 24 {
-        return Err(invalid(format!(
-            "{}: short snapshot header",
-            path.display()
-        )));
+    let mut header = [0u8; SNAPSHOT_HEADER_LEN];
+    match file.read_exact(&mut header) {
+        Ok(()) => {}
+        Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => {
+            return Err(invalid(format!(
+                "{}: short snapshot header",
+                path.display()
+            )));
+        }
+        Err(err) => return Err(err),
     }
-    if data[0..4] != SNAPSHOT_MAGIC {
+    if header[0..4] != SNAPSHOT_MAGIC {
         return Err(invalid(format!("{}: bad snapshot magic", path.display())));
     }
-    let version = u16::from_le_bytes([data[4], data[5]]);
+    let version = u16::from_le_bytes([header[4], header[5]]);
     if version != FORMAT_VERSION {
         return Err(invalid(format!(
             "{}: unsupported snapshot version {version}",
             path.display()
         )));
     }
-    let covered_lsn = u64::from_le_bytes([
-        data[8], data[9], data[10], data[11], data[12], data[13], data[14], data[15],
-    ]);
-    let payload_len = u32::from_le_bytes([data[16], data[17], data[18], data[19]]) as usize;
-    let crc = u32::from_le_bytes([data[20], data[21], data[22], data[23]]);
-    if data.len() != 24 + payload_len {
+    let covered_lsn = le_u64(&header[8..16]);
+    let payload_len = le_u32(&header[16..20]) as usize;
+    let crc = le_u32(&header[20..24]);
+    // Read straight into the Vec handed back; sized by the file, not
+    // by the length field.
+    let mut payload = Vec::new();
+    file.read_to_end(&mut payload)?;
+    if payload.len() != payload_len {
         return Err(invalid(format!(
             "{}: snapshot length mismatch",
             path.display()
         )));
     }
-    let payload = &data[24..];
-    if crc32(payload) != crc {
+    if crc32(&payload) != crc {
         return Err(invalid(format!(
             "{}: snapshot checksum mismatch",
             path.display()
         )));
     }
-    Ok(Some((covered_lsn, payload.to_vec())))
+    Ok(Some((covered_lsn, payload)))
 }
 
 impl Wal {
@@ -424,11 +490,12 @@ impl Wal {
         let mut records = Vec::new();
         let mut next_lsn = snapshot_lsn + 1;
         let mut current: Option<(File, u64, u64)> = None;
+        let mut data = Vec::new();
 
         let last_pos = segments.len().wrapping_sub(1);
         for (pos, (index, path)) in segments.iter().enumerate() {
             let is_last = pos == last_pos;
-            let scan = scan_segment(path, is_last)?;
+            let scan = scan_segment(path, is_last, snapshot_lsn, &mut data)?;
             if pos == 0 {
                 if scan.first_lsn > next_lsn {
                     return Err(invalid(format!(
@@ -446,25 +513,34 @@ impl Wal {
                     next_lsn
                 )));
             }
-            let mut lsn = scan.first_lsn;
-            for record in scan.records {
-                if lsn > snapshot_lsn {
-                    records.push(record);
-                }
-                lsn += 1;
+            // The first scan that found anything is the result; later
+            // ones are moved onto its end.
+            if records.is_empty() {
+                records = scan.records;
+            } else {
+                records.extend(scan.records);
             }
-            if pos > 0 || lsn > next_lsn {
-                next_lsn = lsn;
+            if pos > 0 || scan.next_lsn > next_lsn {
+                next_lsn = scan.next_lsn;
             }
             if is_last {
+                let file = OpenOptions::new().append(true).open(path)?;
                 if scan.torn {
-                    let file = OpenOptions::new().append(true).open(path)?;
                     file.set_len(scan.good_len)?;
                     file.sync_data()?;
                     truncated = true;
                 }
-                let file = OpenOptions::new().append(true).open(path)?;
-                current = Some((file, *index, scan.good_len));
+                current = Some(if scan.next_lsn < next_lsn {
+                    // The log ends short of its snapshot (a tail torn
+                    // below it). Replay numbers records from the
+                    // segment header, so a record appended here would
+                    // be numbered under `snapshot_lsn` and dropped by
+                    // the next open: resume in a segment of its own.
+                    let file = create_segment(&options.dir, index + 1, next_lsn)?;
+                    (file, index + 1, SEGMENT_HEADER_LEN)
+                } else {
+                    (file, *index, scan.good_len)
+                });
             }
         }
 
@@ -482,10 +558,11 @@ impl Wal {
             fsync: options.fsync,
             segment_bytes: options.segment_bytes,
             inner: Mutex::new(Inner {
-                file,
+                file: Arc::new(file),
                 seg_index,
                 seg_len,
                 next_lsn,
+                record: Vec::new(),
             }),
             sync: Mutex::new(()),
             synced_lsn: AtomicU64::new(next_lsn - 1),
@@ -517,23 +594,29 @@ impl Wal {
             ));
         }
         let record_len = RECORD_HEADER_LEN + payload.len() as u64;
+        let crc = crc32(payload);
         let lsn = {
             let mut inner = lock(&self.inner);
+            // glider: hot-path (Wal::append while it holds the log mutex)
             if inner.seg_len + record_len > self.segment_bytes && inner.seg_len > SEGMENT_HEADER_LEN
             {
                 self.rotate(&mut inner)?;
             }
-            let mut buf = Vec::with_capacity(record_len as usize);
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(payload).to_le_bytes());
-            buf.extend_from_slice(payload);
-            inner.file.write_all(&buf)?;
+            let Inner { file, record, .. } = &mut *inner;
+            record.clear();
+            record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            record.extend_from_slice(&crc.to_le_bytes());
+            record.extend_from_slice(payload);
+            // One write per record: once append returns, the whole
+            // record is in the kernel and survives kill -9.
+            (&**file).write_all(record)?;
             inner.seg_len += record_len;
             let lsn = inner.next_lsn;
             inner.next_lsn += 1;
             self.last_lsn.store(lsn, Ordering::Release);
             self.appended_bytes.fetch_add(record_len, Ordering::Relaxed);
             self.records.fetch_add(1, Ordering::Relaxed);
+            // glider: end-hot-path
             lsn
         };
         match self.fsync {
@@ -551,10 +634,18 @@ impl Wal {
     }
 
     /// Block until the record at `lsn` (and everything before it) is
-    /// durable. Concurrent callers coalesce onto one fsync.
+    /// durable. Concurrent callers coalesce onto one fsync. An `lsn`
+    /// past [`Wal::last_lsn`] names no record and is `InvalidInput`.
     pub fn sync_to(&self, lsn: u64) -> io::Result<()> {
         if self.synced_lsn.load(Ordering::Acquire) >= lsn {
             return Ok(());
+        }
+        let last = self.last_lsn.load(Ordering::Acquire);
+        if lsn > last {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("sync_to({lsn}) is past the last appended lsn {last}"),
+            ));
         }
         let _guard = lock(&self.sync);
         if self.synced_lsn.load(Ordering::Acquire) >= lsn {
@@ -563,7 +654,7 @@ impl Wal {
         }
         let (file, high) = {
             let inner = lock(&self.inner);
-            (inner.file.try_clone()?, inner.next_lsn - 1)
+            (Arc::clone(&inner.file), inner.next_lsn - 1)
         };
         file.sync_data()?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -591,7 +682,7 @@ impl Wal {
             self.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
         let index = inner.seg_index + 1;
-        inner.file = create_segment(&self.dir, index, inner.next_lsn)?;
+        inner.file = Arc::new(create_segment(&self.dir, index, inner.next_lsn)?);
         inner.seg_index = index;
         inner.seg_len = SEGMENT_HEADER_LEN;
         Ok(())
@@ -602,12 +693,22 @@ impl Wal {
     /// all covered. The caller serializes the *content* of the
     /// snapshot against its own state; overlap between the snapshot
     /// and records replayed after it is allowed, so restore paths must
-    /// be idempotent.
+    /// be idempotent. A `covered_lsn` past [`Wal::last_lsn`] is
+    /// `InvalidInput` and writes nothing: replay numbers records from
+    /// the segment header, so a snapshot claiming more than the log
+    /// holds would swallow the records appended after it.
     pub fn install_snapshot(&self, covered_lsn: u64, payload: &[u8]) -> io::Result<()> {
+        let last = self.last_lsn.load(Ordering::Acquire);
+        if covered_lsn > last {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("snapshot covers lsn {covered_lsn} but the log ends at {last}"),
+            ));
+        }
         let _guard = lock(&self.sync);
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let path = self.dir.join(SNAPSHOT_FILE);
-        let mut buf = Vec::with_capacity(24 + payload.len());
+        let mut buf = Vec::with_capacity(SNAPSHOT_HEADER_LEN + payload.len());
         buf.extend_from_slice(&SNAPSHOT_MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         buf.extend_from_slice(&0u16.to_le_bytes());
@@ -950,31 +1051,173 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_appends_keep_all_records() {
-        let dir = test_dir("concurrent");
+    fn snapshot_past_the_end_of_the_log_is_rejected_and_writes_nothing() {
+        let dir = test_dir("snapshot-past-end");
         let (wal, _) = Wal::open(opts(&dir)).unwrap();
-        let wal = std::sync::Arc::new(wal);
-        let mut handles = Vec::new();
-        for t in 0..4u8 {
-            let wal = wal.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50u8 {
-                    wal.append(&[t, i]).unwrap();
-                }
-            }));
+        for i in 0..3u8 {
+            wal.append(&[i]).unwrap();
         }
-        for handle in handles {
-            handle.join().unwrap();
+        let segment = fs::read(segment_path(&dir, 1)).unwrap();
+        let err = wal.install_snapshot(10, b"claims ten").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(wal.snapshot_lsn(), 0);
+        let mut names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["wal-000001.log"]);
+        assert_eq!(fs::read(segment_path(&dir, 1)).unwrap(), segment);
+        // The record acked after the refused snapshot survives a reopen.
+        assert_eq!(wal.append(b"acked").unwrap(), 4);
+        drop(wal);
+        let (wal, replay) = Wal::open(opts(&dir)).unwrap();
+        assert_eq!(wal.last_lsn(), 4);
+        assert_eq!(replay.snapshot_lsn, 0);
+        assert_eq!(replay.records.len(), 4);
+        assert_eq!(replay.records[3], b"acked");
+    }
+
+    #[test]
+    fn appends_after_a_tail_torn_below_the_snapshot_survive_reopen() {
+        let dir = test_dir("torn-below-snapshot");
+        {
+            let (wal, _) = Wal::open(opts(&dir)).unwrap();
+            for i in 0..10u8 {
+                wal.append(&[i; 8]).unwrap();
+            }
+            wal.install_snapshot(6, b"six").unwrap();
         }
+        // Power loss kept the snapshot but only two and a bit records.
+        let path = segment_path(&dir, 1);
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(SEGMENT_HEADER_LEN + 2 * 16 + 5).unwrap();
+        drop(file);
+
+        let (wal, replay) = Wal::open(opts(&dir)).unwrap();
+        assert!(replay.truncated);
+        assert_eq!(replay.snapshot_lsn, 6);
+        assert!(replay.records.is_empty());
+        assert_eq!(wal.append(b"acked").unwrap(), 7);
+        drop(wal);
+        for _ in 0..2 {
+            let (wal, replay) = Wal::open(opts(&dir)).unwrap();
+            assert!(!replay.truncated);
+            assert_eq!(replay.records, vec![b"acked".to_vec()]);
+            assert_eq!(wal.last_lsn(), 7);
+        }
+    }
+
+    #[test]
+    fn sync_to_past_the_end_of_the_log_is_rejected() {
+        let dir = test_dir("sync-past-end");
+        let (wal, _) = Wal::open(opts(&dir)).unwrap();
+        for i in 0..10u8 {
+            wal.append(&[i]).unwrap();
+        }
+        let err = wal.sync_to(99).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(wal.synced_lsn(), 0);
+        assert_eq!(wal.stats().fsyncs, 0);
+        wal.sync_to(10).unwrap();
+        assert_eq!(wal.synced_lsn(), 10);
+    }
+
+    /// The metadata server's call: snapshot at whatever `last_lsn()`
+    /// says while handlers keep appending.
+    #[test]
+    fn snapshot_at_last_lsn_succeeds_under_concurrent_appenders() {
+        const THREADS: usize = 3;
+        const PER_THREAD: u64 = 1_500;
+        let dir = test_dir("snapshot-concurrent");
+        let (wal, _) = Wal::open(opts(&dir).with_segment_bytes(4096)).unwrap();
+        let start = std::sync::Barrier::new(THREADS + 1);
+        let mut installed = 0u64;
+        std::thread::scope(|scope| {
+            for t in 0..THREADS as u8 {
+                let (wal, start) = (&wal, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..PER_THREAD {
+                        wal.append(&[t; 24]).unwrap();
+                    }
+                });
+            }
+            start.wait();
+            // Ends with one snapshot after the last append.
+            while installed < THREADS as u64 * PER_THREAD {
+                installed = wal.last_lsn();
+                wal.install_snapshot(installed, &installed.to_le_bytes())
+                    .unwrap();
+            }
+        });
+        assert_eq!(wal.snapshot_lsn(), installed);
+        drop(wal);
+        let (wal, replay) = Wal::open(opts(&dir)).unwrap();
+        assert_eq!(wal.last_lsn(), THREADS as u64 * PER_THREAD);
+        assert_eq!(replay.snapshot_lsn, installed);
+        assert_eq!(
+            replay.snapshot.as_deref(),
+            Some(&installed.to_le_bytes()[..])
+        );
+        assert_eq!(
+            replay.snapshot_lsn + replay.records.len() as u64,
+            wal.last_lsn()
+        );
+    }
+
+    /// Four appenders share the log's one record buffer: every record
+    /// must come back whole, and each thread's in the order it sent
+    /// them.
+    #[test]
+    fn concurrent_appends_keep_all_records() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 2_000;
+        const SEED: u64 = 0xC0FFEE;
+        // Thread id, then 0..=300 bytes of that thread's seeded stream.
+        let sent: Vec<Vec<Vec<u8>>> = (0..THREADS)
+            .map(|t| {
+                let mut rng = lcg::Lcg(SEED + t as u64);
+                (0..PER_THREAD)
+                    .map(|_| {
+                        let mut payload = vec![t as u8];
+                        payload.extend((0..rng.range(0, 301)).map(|_| rng.byte()));
+                        payload
+                    })
+                    .collect()
+            })
+            .collect();
+        let dir = test_dir("concurrent");
+        let options =
+            WalOptions::new(&dir).with_fsync(FsyncPolicy::Interval(Duration::from_millis(1)));
+        let (wal, _) = Wal::open(options).unwrap();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for payloads in &sent {
+                let (wal, start) = (&wal, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for payload in payloads {
+                        wal.append(payload).unwrap();
+                    }
+                });
+            }
+        });
         wal.sync().unwrap();
-        assert_eq!(wal.last_lsn(), 200);
+        assert_eq!(wal.last_lsn(), (THREADS * PER_THREAD) as u64);
         drop(wal);
         let (_, replay) = Wal::open(opts(&dir)).unwrap();
-        assert_eq!(replay.records.len(), 200);
-        let mut counts = [0u32; 4];
-        for record in &replay.records {
-            counts[usize::from(record[0])] += 1;
+        assert_eq!(replay.records.len(), THREADS * PER_THREAD);
+        let mut next = [0usize; THREADS];
+        for (pos, record) in replay.records.iter().enumerate() {
+            let t = usize::from(record[0]);
+            assert_eq!(
+                record, &sent[t][next[t]],
+                "seed {SEED:#x}: record {pos} is not thread {t}'s record {}",
+                next[t]
+            );
+            next[t] += 1;
         }
-        assert_eq!(counts, [50; 4]);
+        assert_eq!(next, [PER_THREAD; THREADS]);
     }
 }

@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const SEGMENT_BYTES: u64 = 256;
 const CASES: u64 = 64;
+const SNAPSHOT: &[u8] = b"state up to the cut";
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -28,30 +29,37 @@ fn case_dir(name: &str) -> PathBuf {
     dir
 }
 
+fn options(dir: &PathBuf) -> WalOptions {
+    WalOptions::new(dir)
+        .with_fsync(FsyncPolicy::Never)
+        .with_segment_bytes(SEGMENT_BYTES)
+}
+
 fn write_all(dir: &PathBuf, payloads: &[Vec<u8>]) {
-    let (wal, _) = Wal::open(
-        WalOptions::new(dir)
-            .with_fsync(FsyncPolicy::Never)
-            .with_segment_bytes(SEGMENT_BYTES),
-    )
-    .expect("open wal");
+    write_all_then_snapshot(dir, payloads, 0);
+}
+
+/// Appends `payloads`, then installs a snapshot covering the first
+/// `cut` of them (none when `cut` is 0), which compacts the log.
+fn write_all_then_snapshot(dir: &PathBuf, payloads: &[Vec<u8>], cut: u64) {
+    let (wal, _) = Wal::open(options(dir)).expect("open wal");
     for payload in payloads {
         wal.append(payload).expect("append");
     }
     wal.sync().expect("sync");
+    if cut > 0 {
+        wal.install_snapshot(cut, SNAPSHOT)
+            .expect("install snapshot");
+    }
 }
 
 fn reopen(dir: &PathBuf) -> glider_wal::Replay {
-    let (_, replay) = Wal::open(
-        WalOptions::new(dir)
-            .with_fsync(FsyncPolicy::Never)
-            .with_segment_bytes(SEGMENT_BYTES),
-    )
-    .expect("reopen wal");
+    let (_, replay) = Wal::open(options(dir)).expect("reopen wal");
     replay
 }
 
-fn last_segment(dir: &PathBuf) -> PathBuf {
+/// The `wal-*.log` files of `dir`, oldest first.
+fn segments(dir: &PathBuf) -> Vec<PathBuf> {
     let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("read_dir")
         .map(|e| e.expect("entry").path())
@@ -62,7 +70,11 @@ fn last_segment(dir: &PathBuf) -> PathBuf {
         })
         .collect();
     segments.sort();
-    segments.pop().expect("at least one segment")
+    segments
+}
+
+fn last_segment(dir: &PathBuf) -> PathBuf {
+    segments(dir).pop().expect("at least one segment")
 }
 
 /// Parse the end offset of every record in one intact segment. This
@@ -224,6 +236,178 @@ fn kv_state_machine_recovers_prefix_state() {
             apply(&mut recovered, record);
         }
         assert_eq!(recovered, expected, "seed {seed}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// LSN of the first record of the segment image `segment`.
+fn first_lsn(segment: &[u8]) -> u64 {
+    u64::from_le_bytes(segment[8..16].try_into().expect("8 bytes"))
+}
+
+/// Flips one bit in the checksum or payload of record number `index`
+/// (0-based) of the segment at `path`: always a CRC mismatch, never a
+/// change of framing.
+fn flip_in_record(path: &PathBuf, index: usize, rng: &mut Lcg) {
+    let mut segment = std::fs::read(path).expect("read segment");
+    let ends = record_ends(&segment);
+    let start = if index == 0 {
+        SEGMENT_HEADER_LEN
+    } else {
+        ends[index - 1]
+    };
+    let pos = rng.range(start + 4, ends[index]) as usize;
+    segment[pos] ^= 1 << rng.range(0, 8);
+    std::fs::write(path, &segment).expect("write corrupted segment");
+}
+
+/// What `benchmark`'s corrupted-recovery self-test relies on: replay
+/// verifies the records a snapshot covers too, so a bit flip in one,
+/// in a segment that is not the last, fails the open instead of being
+/// skipped along with the record.
+#[test]
+fn bitflip_in_a_covered_record_of_a_non_final_segment_fails_the_open() {
+    let mut exercised = 0;
+    for seed in 0..CASES {
+        let mut rng = Lcg(seed);
+        let mut payloads = payloads(&mut rng);
+        // Enough records for several segments.
+        payloads.extend((0..24).map(|i| vec![i; 40]));
+        let cut = rng.range(1, payloads.len() as u64);
+
+        let dir = case_dir("covered-flip");
+        write_all_then_snapshot(&dir, &payloads, cut);
+
+        // The oldest retained segment holds covered records only when
+        // the cut fell inside it.
+        let segments = segments(&dir);
+        let oldest = std::fs::read(&segments[0]).expect("read oldest segment");
+        let first = first_lsn(&oldest);
+        if segments.len() < 2 || first > cut {
+            let _ = std::fs::remove_dir_all(&dir);
+            continue;
+        }
+        exercised += 1;
+        let covered_here = (cut + 1 - first).min(record_ends(&oldest).len() as u64);
+        let victim = rng.range(0, covered_here) as usize;
+        flip_in_record(&segments[0], victim, &mut rng);
+
+        let err = Wal::open(options(&dir)).expect_err("corruption must fail the open");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "seed {seed}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(
+        exercised >= CASES / 2,
+        "only {exercised} cases had a target"
+    );
+}
+
+/// The same flip in the final segment is indistinguishable from a torn
+/// write: the log is truncated there, so the flipped record and every
+/// record after it are gone (the snapshot still holds their effect).
+#[test]
+fn bitflip_in_a_covered_record_of_the_final_segment_truncates_there() {
+    for seed in 0..CASES {
+        let mut rng = Lcg(seed);
+        let payloads = payloads(&mut rng);
+
+        let dir = case_dir("covered-flip-tail");
+        write_all(&dir, &payloads);
+        // A cut inside the final segment: every older one is compacted
+        // away and the final one starts with covered records.
+        let tail = std::fs::read(last_segment(&dir)).expect("read tail segment");
+        let first = first_lsn(&tail);
+        let cut = rng.range(first, payloads.len() as u64 + 1);
+        {
+            let (wal, _) = Wal::open(options(&dir)).expect("open wal");
+            wal.install_snapshot(cut, SNAPSHOT)
+                .expect("install snapshot");
+        }
+        assert_eq!(segments(&dir).len(), 1, "seed {seed}");
+        let victim = rng.range(0, cut + 1 - first) as usize;
+        flip_in_record(&last_segment(&dir), victim, &mut rng);
+
+        let replay = reopen(&dir);
+        assert!(replay.truncated, "seed {seed}");
+        assert_eq!(replay.snapshot_lsn, cut, "seed {seed}");
+        assert!(replay.records.is_empty(), "seed {seed}");
+        // The log now ends below its snapshot, so numbering resumes in
+        // a segment of its own, past the cut.
+        let segments = segments(&dir);
+        assert_eq!(segments.len(), 2, "seed {seed}");
+        let torn = std::fs::read(&segments[0]).expect("read torn segment");
+        assert_eq!(record_ends(&torn).len(), victim, "seed {seed}");
+        let fresh = std::fs::read(&segments[1]).expect("read fresh segment");
+        assert_eq!(first_lsn(&fresh), cut + 1, "seed {seed}");
+        assert!(record_ends(&fresh).is_empty(), "seed {seed}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A snapshot usually covers a prefix of the oldest segment compaction
+/// had to keep: replay hands back exactly the records past the cut.
+#[test]
+fn replay_resumes_exactly_past_the_snapshot() {
+    for seed in 0..CASES {
+        let mut rng = Lcg(seed);
+        let payloads = payloads(&mut rng);
+        let cut = rng.range(0, payloads.len() as u64 + 1);
+
+        let dir = case_dir("resume");
+        write_all_then_snapshot(&dir, &payloads, cut);
+
+        let replay = reopen(&dir);
+        assert_eq!(replay.snapshot_lsn, cut, "seed {seed}");
+        assert_eq!(replay.snapshot.is_some(), cut > 0, "seed {seed}");
+        assert_eq!(&replay.records, &payloads[cut as usize..], "seed {seed}");
+        assert!(!replay.truncated, "seed {seed}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Replay reads every segment through one buffer. A long segment
+/// followed by shorter ones must leave nothing behind in it: two opens
+/// of the same log agree with each other and with what was appended.
+#[test]
+fn reopening_twice_replays_the_same_records() {
+    for seed in 0..CASES {
+        let mut rng = Lcg(seed);
+        let big = vec![0xA5u8; 2 * SEGMENT_BYTES as usize];
+        let long = payloads(&mut rng);
+        let short = payloads(&mut rng);
+
+        let dir = case_dir("reopen-twice");
+        {
+            // One oversized segment: a record larger than any later
+            // segment, then `long` four times over.
+            let (wal, _) = Wal::open(options(&dir).with_segment_bytes(1 << 20)).expect("open wal");
+            wal.append(&big).expect("append");
+            for _ in 0..4 {
+                for payload in &long {
+                    wal.append(payload).expect("append");
+                }
+            }
+        }
+        write_all(&dir, &short);
+        let lens: Vec<u64> = segments(&dir)
+            .iter()
+            .map(|p| std::fs::metadata(p).expect("metadata").len())
+            .collect();
+        assert!(lens.len() >= 2 && lens[1..].iter().all(|len| *len < lens[0]));
+
+        let expected: Vec<&Vec<u8>> = std::iter::once(&big)
+            .chain(long.iter().cycle().take(4 * long.len()))
+            .chain(&short)
+            .collect();
+        let (first, second) = (reopen(&dir), reopen(&dir));
+        assert!(
+            first.records.iter().eq(expected.iter().copied()),
+            "seed {seed}"
+        );
+        assert_eq!(first.records, second.records, "seed {seed}");
+        assert_eq!(first.snapshot, second.snapshot, "seed {seed}");
+        assert_eq!(first.snapshot_lsn, second.snapshot_lsn, "seed {seed}");
+        assert!(!first.truncated && !second.truncated, "seed {seed}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -26,11 +26,17 @@ use crate::workspace::{SourceFile, Workspace};
 use crate::{Counters, Finding};
 
 /// Crates whose sources are scanned for hot-path regions.
-const SCOPE: [&str; 3] = ["crates/net/src", "crates/storage/src", "crates/client/src"];
+const SCOPE: [&str; 4] = [
+    "crates/net/src",
+    "crates/storage/src",
+    "crates/client/src",
+    "crates/wal/src",
+];
 
 /// Substrings (stripped source) that mean a per-op allocation.
-const FORBIDDEN: [&str; 7] = [
+const FORBIDDEN: [&str; 8] = [
     "Vec::new",
+    "with_capacity(",
     ".to_vec(",
     ".clone()",
     "format!",

@@ -146,9 +146,10 @@ const CASES: &[Case] = &[
             &[
                 (NET_SCRATCH, 7, "`.to_vec(` inside a `// glider: hot-path` region"),
                 (NET_SCRATCH, 8, "`format!` inside a `// glider: hot-path` region"),
-                (NET_SCRATCH, 9, "`// glider: alloc-ok` needs a justification"),
-                (NET_SCRATCH, 14, "stray `// glider: end-hot-path`"),
-                (NET_SCRATCH, 16, "never closed"),
+                (NET_SCRATCH, 9, "`with_capacity(` inside a `// glider: hot-path` region"),
+                (NET_SCRATCH, 10, "`// glider: alloc-ok` needs a justification"),
+                (NET_SCRATCH, 16, "stray `// glider: end-hot-path`"),
+                (NET_SCRATCH, 18, "never closed"),
             ])
     },
     Case {

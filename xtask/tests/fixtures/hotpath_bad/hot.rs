@@ -6,8 +6,10 @@
 fn ship(&mut self, data: &[u8]) -> GliderResult<()> {
     let copy = data.to_vec();
     let label = format!("chunk of {} bytes", copy.len());
+    let mut staged = BytesMut::with_capacity(copy.len());
     let kept = self.last.clone(); // glider: alloc-ok ()
-    self.send(copy, label, kept)
+    staged.extend_from_slice(&copy);
+    self.send(staged, label, kept)
 }
 // glider: end-hot-path
 
