@@ -1,20 +1,20 @@
 //! Storage actions: ephemeral, stateful, near-data computation.
 //!
-//! This crate implements the paper's core contribution (§3–§5): the
-//! [`Action`] trait (the paper's *Action Object* with its four optional
-//! methods, Table 1), the server-side I/O streams actions consume and
-//! produce, and the runtime that executes actions with the paper's
-//! concurrency model:
+//! This crate is the active server's action runtime (paper §3–§5). The
+//! runtime-free core lives in `glider-instance` and is re-exported here
+//! under its old paths: the [`Action`] trait (the paper's *Action
+//! Object* with its four optional methods, Table 1), the server-side I/O
+//! streams actions consume and produce, and the [`glider_instance::Instance`]
+//! future that runs one action instance with the paper's concurrency
+//! model:
 //!
 //! - **Single-threaded-like execution** — at any time only one method runs
-//!   on a given action. Here each action instance is driven by exactly one
-//!   tokio task, so methods of one action never run in parallel.
+//!   on a given action. Each instance is one future, polled by one task,
+//!   so methods of one action never run in parallel.
 //! - **Interleaving** (Orleans-style, §4.2) — when enabled at creation, a
 //!   method that is waiting for more stream I/O yields its turn to another
-//!   method of the same action. The runtime realizes this by polling all
-//!   in-flight invocation futures of the instance on that same single task
-//!   (a `FuturesUnordered`), so execution remains single-threaded while
-//!   methods take turns at await points.
+//!   method of the same action. Serial mode is the same admission rule
+//!   with a window of one method.
 //!
 //! The paper decouples action execution from network workers through task
 //! queues; here the queues are the bounded channels inside
@@ -29,16 +29,17 @@
 //! inside the cluster (§6.2) — abstracted as [`StoreAccess`] so this crate
 //! stays independent of the concrete client implementation.
 
-pub mod action;
 pub mod builtin;
 pub mod exec;
 pub mod manager;
 pub mod registry;
 pub mod runtime;
-pub mod stream;
 
-pub use action::{Action, ActionCell, ActionContext, ByteSink, ByteStream, StoreAccess};
 pub use exec::ActionExecutor;
+pub use glider_instance::{action, stream};
+pub use glider_instance::{
+    Action, ActionCell, ActionContext, ActionInputStream, ActionOutputStream, ByteSink,
+    ByteStream, LineReader, StoreAccess,
+};
 pub use manager::ActionManager;
 pub use registry::ActionRegistry;
-pub use stream::{ActionInputStream, ActionOutputStream, LineReader};

@@ -2,14 +2,15 @@
 //! server (paper §5: "an action manager object that handles the creation,
 //! execution, and deletion of action objects").
 
-use crate::action::StoreAccess;
 use crate::exec::ActionExecutor;
 use crate::registry::ActionRegistry;
-use crate::runtime::{spawn_instance_on, Enqueued, InstanceHandle, Invocation};
-use crate::stream::{ActionInputStream, ActionOutputStream, InputPusher, TryPush};
-use crate::ActionContext;
+use crate::runtime::spawn_instance_on;
 use bytes::Bytes;
-use glider_metrics::{CountHist, MetricsRegistry, Signal};
+use glider_instance::{
+    reply, ActionContext, ActionInputStream, ActionOutputStream, Enqueued, InputPusher,
+    InstanceHandle, Invocation, Receiver, StoreAccess, TryPush, TryRecvError,
+};
+use glider_metrics::MetricsRegistry;
 use glider_proto::types::{ActionSpec, NodeId, StreamDir, StreamId};
 use glider_proto::{ErrorCode, GliderError, GliderResult};
 use glider_trace::SpanContext;
@@ -17,7 +18,6 @@ use glider_util::IdGen;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tokio::sync::{mpsc, oneshot};
 
 /// Queue depth (chunks) for write streams (client → action).
 const INPUT_QUEUE_DEPTH: usize = 64;
@@ -28,7 +28,7 @@ enum StreamEntry {
     Write {
         node_id: NodeId,
         pusher: InputPusher,
-        done: oneshot::Receiver<GliderResult<()>>,
+        done: Receiver<GliderResult<()>>,
     },
     Read {
         node_id: NodeId,
@@ -37,13 +37,13 @@ enum StreamEntry {
 }
 
 struct ReadSide {
-    rx: mpsc::Receiver<Bytes>,
+    rx: Receiver<Bytes>,
     done: DoneState,
     next_seq: u64,
 }
 
 enum DoneState {
-    Pending(oneshot::Receiver<GliderResult<()>>),
+    Pending(Receiver<GliderResult<()>>),
     Finished(GliderResult<()>),
 }
 
@@ -51,8 +51,9 @@ impl ReadSide {
     async fn result(&mut self) -> GliderResult<()> {
         if let DoneState::Pending(rx) = &mut self.done {
             let result = rx
+                .recv()
                 .await
-                .unwrap_or_else(|_| Err(GliderError::closed("action instance")));
+                .unwrap_or_else(|| Err(GliderError::closed("action instance")));
             self.done = DoneState::Finished(result);
         }
         match &self.done {
@@ -154,7 +155,7 @@ impl ActionManager {
     pub async fn create_action(&self, node_id: NodeId, spec: ActionSpec) -> GliderResult<()> {
         let action = self.registry.instantiate(&spec)?;
         let ctx = ActionContext::new(node_id, spec.interleaved, self.store.clone());
-        let created_rx = {
+        let mut created_rx = {
             let mut instances = self.instances.lock();
             if instances.contains_key(&node_id) {
                 return Err(GliderError::already_exists(format!(
@@ -172,39 +173,16 @@ impl ActionManager {
             instances.insert(node_id, handle);
             created_rx
         };
-        match created_rx.await {
-            Ok(Ok(())) => Ok(()),
-            Ok(Err(e)) => {
-                self.instances.lock().remove(&node_id);
-                Err(e)
-            }
-            Err(_) => {
-                self.instances.lock().remove(&node_id);
-                Err(GliderError::closed("action instance during create"))
-            }
+        // A panicking on_create arrives as ActionFailed; `None` only if
+        // the instance was dropped before it answered (its pool shut down).
+        let created = created_rx
+            .recv()
+            .await
+            .unwrap_or_else(|| Err(GliderError::closed("action instance during create")));
+        if created.is_err() {
+            self.instances.lock().remove(&node_id);
         }
-    }
-
-    /// Enqueues `inv` with queue-depth accounting and an `action.queue`
-    /// span parented under `parent`.
-    async fn enqueue_on(
-        &self,
-        handle: &InstanceHandle,
-        parent: SpanContext,
-        inv: Invocation,
-    ) -> GliderResult<()> {
-        if let Some(m) = &self.metrics {
-            m.add(Signal::Queue, 1);
-            m.record_count(CountHist::MailboxDepth, handle.mailbox_depth() as u64);
-        }
-        let result = handle.enqueue_traced(Enqueued::new(parent), inv).await;
-        if result.is_err() {
-            // The invocation never reached a mailbox; undo the gauge.
-            if let Some(m) = &self.metrics {
-                m.sub(Signal::Queue, 1);
-            }
-        }
-        result
+        created
     }
 
     /// Removes the action object of `node_id`, running `on_delete` after
@@ -231,12 +209,14 @@ impl ActionManager {
             self.instances.lock().remove(&node_id).ok_or_else(|| {
                 GliderError::not_found(format!("action object in node {node_id}"))
             })?;
-        let (done_tx, done_rx) = oneshot::channel();
-        self.enqueue_on(&handle, parent, Invocation::Delete { done: done_tx })
+        let (done_tx, mut done_rx) = reply();
+        handle
+            .enqueue_traced(Enqueued::new(parent), Invocation::Delete { done: done_tx })
             .await?;
         done_rx
+            .recv()
             .await
-            .unwrap_or_else(|_| Err(GliderError::closed("action instance during delete")))
+            .unwrap_or_else(|| Err(GliderError::closed("action instance during delete")))
     }
 
     /// Opens an I/O stream against `node_id`, queueing the corresponding
@@ -273,16 +253,12 @@ impl ActionManager {
         match dir {
             StreamDir::Write => {
                 let (input, pusher) = ActionInputStream::new(INPUT_QUEUE_DEPTH);
-                let (done_tx, done_rx) = oneshot::channel();
-                self.enqueue_on(
-                    &handle,
-                    parent,
-                    Invocation::Write {
-                        input,
-                        done: done_tx,
-                    },
-                )
-                .await?;
+                let (done_tx, done_rx) = reply();
+                let inv = Invocation::Write {
+                    input,
+                    done: done_tx,
+                };
+                handle.enqueue_traced(Enqueued::new(parent), inv).await?;
                 self.streams.lock().insert(
                     stream_id,
                     StreamEntry::Write {
@@ -294,16 +270,12 @@ impl ActionManager {
             }
             StreamDir::Read => {
                 let (output, rx) = ActionOutputStream::new(OUTPUT_QUEUE_DEPTH);
-                let (done_tx, done_rx) = oneshot::channel();
-                self.enqueue_on(
-                    &handle,
-                    parent,
-                    Invocation::Read {
-                        output,
-                        done: done_tx,
-                    },
-                )
-                .await?;
+                let (done_tx, done_rx) = reply();
+                let inv = Invocation::Read {
+                    output,
+                    done: done_tx,
+                };
+                handle.enqueue_traced(Enqueued::new(parent), inv).await?;
                 self.streams.lock().insert(
                     stream_id,
                     StreamEntry::Read {
@@ -475,17 +447,17 @@ impl ActionManager {
                 side.next_seq += 1;
                 Some(Ok((seq, bytes, false)))
             }
-            Err(mpsc::error::TryRecvError::Disconnected) => {
+            Err(TryRecvError::Disconnected) => {
                 if let DoneState::Pending(rx) = &mut side.done {
                     match rx.try_recv() {
                         Ok(result) => side.done = DoneState::Finished(result),
-                        Err(oneshot::error::TryRecvError::Closed) => {
+                        Err(TryRecvError::Disconnected) => {
                             side.done =
                                 DoneState::Finished(Err(GliderError::closed("action instance")));
                         }
                         // The method finished producing but its result is
                         // still in flight; settle it on the async path.
-                        Err(oneshot::error::TryRecvError::Empty) => return None,
+                        Err(TryRecvError::Empty) => return None,
                     }
                 }
                 match &side.done {
@@ -494,7 +466,7 @@ impl ActionManager {
                     DoneState::Pending(_) => unreachable!("settled above"),
                 }
             }
-            Err(mpsc::error::TryRecvError::Empty) => None,
+            Err(TryRecvError::Empty) => None,
         }
     }
 
@@ -513,10 +485,13 @@ impl ActionManager {
             .remove(&stream_id)
             .ok_or_else(|| GliderError::not_found(format!("stream {stream_id}")))?;
         match entry {
-            StreamEntry::Write { pusher, done, .. } => {
+            StreamEntry::Write {
+                pusher, mut done, ..
+            } => {
                 pusher.finish();
-                done.await
-                    .unwrap_or_else(|_| Err(GliderError::closed("action instance during write")))
+                done.recv()
+                    .await
+                    .unwrap_or_else(|| Err(GliderError::closed("action instance during write")))
             }
             StreamEntry::Read { .. } => {
                 // Dropping the receiver cancels the producer; the runtime

@@ -17,12 +17,8 @@
 //! while preserving the experiment's shape; the defaults complete on a
 //! laptop in minutes.
 //!
-//! The Criterion benches (`benches/`) cover the micro side: stream
-//! bandwidth, the interleaving ablation, transport (TCP vs RDMA-sim),
-//! operation-window and block-size sweeps. They are ordinary `[[bench]]`
-//! targets (`cargo bench -p glider-bench`). The performance gate of
-//! record is not here but in `BENCHMARK.json` → `benchmark/` (README.md,
-//! "Performance gate").
+//! The performance gate of record is not here but in `BENCHMARK.json` →
+//! `benchmark/` (README.md, "Performance gate").
 
 pub mod chaos;
 
@@ -82,7 +78,7 @@ pub fn print_rule(widths: &[usize]) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 6 micro-benchmark machinery (shared with the Criterion benches)
+// Fig. 6 micro-benchmark machinery
 // ---------------------------------------------------------------------------
 
 /// A cluster prepared for bandwidth micro-benchmarks with a given stream
@@ -205,46 +201,6 @@ impl BwHarness {
         }
         reader.close().await?;
         debug_assert_eq!(got, total.as_u64());
-        Ok(gbps(got, start.elapsed()))
-    }
-
-    /// Writes `total` bytes into an *existing* action (for repeated
-    /// benchmark iterations against one reused `null` action).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures.
-    pub async fn action_write_existing(&self, path: &str, total: ByteSize) -> GliderResult<f64> {
-        let store = self.client().await?;
-        let action = store.lookup_action(path).await?;
-        let chunk = vec![0u8; self.chunk.as_usize()];
-        let start = std::time::Instant::now();
-        let mut out = action.output_stream().await?;
-        let mut remaining = total.as_u64();
-        while remaining > 0 {
-            let n = remaining.min(chunk.len() as u64) as usize;
-            out.write(Bytes::copy_from_slice(&chunk[..n])).await?;
-            remaining -= n as u64;
-        }
-        out.close().await?;
-        Ok(gbps(total.as_u64(), start.elapsed()))
-    }
-
-    /// Drains one read stream from an *existing* `null` action.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures.
-    pub async fn action_read_existing(&self, path: &str) -> GliderResult<f64> {
-        let store = self.client().await?;
-        let action = store.lookup_action(path).await?;
-        let start = std::time::Instant::now();
-        let mut reader = action.input_stream().await?;
-        let mut got = 0u64;
-        while let Some(chunk) = reader.next_chunk().await? {
-            got += chunk.len() as u64;
-        }
-        reader.close().await?;
         Ok(gbps(got, start.elapsed()))
     }
 
