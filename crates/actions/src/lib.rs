@@ -1,12 +1,15 @@
 //! Storage actions: ephemeral, stateful, near-data computation.
 //!
-//! This crate is the active server's action runtime (paper §3–§5). The
-//! runtime-free core lives in `glider-instance` and is re-exported here
-//! under its old paths: the [`Action`] trait (the paper's *Action
-//! Object* with its four optional methods, Table 1), the server-side I/O
-//! streams actions consume and produce, and the [`glider_instance::Instance`]
-//! future that runs one action instance with the paper's concurrency
-//! model:
+//! This crate is the active server's action runtime (paper §3–§5): it
+//! keeps only the [`ActionExecutor`] pool and the spawn
+//! ([`runtime::spawner`]). Everything else lives in `glider-instance`,
+//! with no async runtime, and is re-exported here under its old paths:
+//! the [`Action`] trait (the paper's *Action Object* with its four
+//! optional methods, Table 1), the server-side I/O streams actions consume
+//! and produce, the [`ActionRegistry`] and the [`builtin`] actions, the
+//! [`ActionManager`] that creates, feeds and deletes instances (§5), and
+//! the [`glider_instance::Instance`] future that runs one action instance
+//! with the paper's concurrency model:
 //!
 //! - **Single-threaded-like execution** — at any time only one method runs
 //!   on a given action. Each instance is one future, polled by one task,
@@ -29,17 +32,13 @@
 //! inside the cluster (§6.2) — abstracted as [`StoreAccess`] so this crate
 //! stays independent of the concrete client implementation.
 
-pub mod builtin;
 pub mod exec;
-pub mod manager;
-pub mod registry;
 pub mod runtime;
 
 pub use exec::ActionExecutor;
-pub use glider_instance::{action, stream};
+pub use glider_instance::{action, builtin, manager, registry, stream};
 pub use glider_instance::{
-    Action, ActionCell, ActionContext, ActionInputStream, ActionOutputStream, ByteSink,
-    ByteStream, LineReader, StoreAccess,
+    Action, ActionCell, ActionContext, ActionInputStream, ActionManager, ActionOutputStream,
+    ActionRegistry, ByteSink, ByteStream, LineReader, Spawn, StoreAccess,
 };
-pub use manager::ActionManager;
-pub use registry::ActionRegistry;
+pub use runtime::spawner;

@@ -1,61 +1,42 @@
-//! Spawning an action instance.
+//! Spawning action instances.
 //!
 //! The instance itself — its mailbox, the one admission rule that runs
 //! serial and interleaved mode, `on_delete` after the in-flight methods,
 //! panic isolation — is [`glider_instance::Instance`], a future with no
-//! runtime. This shell only spawns it: on the [`ActionExecutor`] (the
-//! paper's network/action thread split) or on the caller's runtime.
+//! runtime, and the [`glider_instance::ActionManager`] that creates,
+//! feeds and deletes instances is a table with no runtime either. This
+//! shell only spawns them: on the [`ActionExecutor`] (the paper's
+//! network/action thread split) or on the caller's runtime.
 
 use crate::exec::ActionExecutor;
-use glider_instance::{Action, ActionContext, Instance, Receiver, MAILBOX_DEPTH};
-use glider_metrics::MetricsRegistry;
-use glider_proto::GliderResult;
+use glider_instance::{Instance, Spawn};
 use std::sync::Arc;
 
 pub use glider_instance::{Enqueued, InstanceHandle, Invocation};
 
-/// Spawns the executor task for one action instance.
-///
-/// Runs `on_create` first; its result arrives on the returned receiver so
-/// the caller can fail creation. `metrics` (when provided) receives
-/// storage-utilization samples of [`Action::state_size`] after every
-/// method execution.
-pub fn spawn_instance(
-    action: Arc<dyn Action>,
-    ctx: ActionContext,
-    metrics: Option<Arc<MetricsRegistry>>,
-) -> (InstanceHandle, Receiver<GliderResult<()>>) {
-    spawn_instance_on(None, action, ctx, metrics)
-}
-
-/// [`spawn_instance`] routed onto a worker pool.
-///
-/// With an [`ActionExecutor`] the instance task runs on the dedicated
-/// action pool (the paper's network/action thread split); without one it
-/// shares the caller's runtime.
-pub fn spawn_instance_on(
-    executor: Option<&ActionExecutor>,
-    action: Arc<dyn Action>,
-    ctx: ActionContext,
-    metrics: Option<Arc<MetricsRegistry>>,
-) -> (InstanceHandle, Receiver<GliderResult<()>>) {
-    let (instance, handle, created) = Instance::new(action, ctx, metrics, MAILBOX_DEPTH);
-    match executor {
+/// The manager's [`Spawn`]: each instance becomes one task on `executor`'s
+/// action pool, or on the caller's tokio runtime without one.
+pub fn spawner(executor: Option<ActionExecutor>) -> Spawn {
+    Arc::new(move |instance: Instance| match &executor {
         Some(pool) => {
             pool.spawn(instance);
         }
         None => {
             tokio::spawn(instance);
         }
-    }
-    (handle, created)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glider_instance::{reply, ActionOutputStream, BoxFuture};
-    use glider_proto::types::NodeId;
+    use bytes::Bytes;
+    use glider_instance::{
+        reply, Action, ActionContext, ActionManager, ActionOutputStream, ActionRegistry, BoxFuture,
+        MAILBOX_DEPTH,
+    };
+    use glider_proto::types::{ActionSpec, NodeId, StreamDir};
+    use glider_proto::GliderResult;
 
     #[tokio::test]
     async fn instances_run_on_the_action_pool() {
@@ -72,9 +53,11 @@ mod tests {
                 })
             }
         }
-        let pool = ActionExecutor::with_workers(2);
+        let spawn = spawner(Some(ActionExecutor::with_workers(2)));
         let ctx = ActionContext::new(NodeId(1), false, None);
-        let (handle, mut created) = spawn_instance_on(Some(&pool), Arc::new(ThreadProbe), ctx, None);
+        let (instance, handle, mut created) =
+            Instance::new(Arc::new(ThreadProbe), ctx, None, MAILBOX_DEPTH);
+        spawn(instance);
         created.recv().await.unwrap().unwrap();
         let (output, mut rx) = ActionOutputStream::new(8);
         let (done, mut done_rx) = reply();
@@ -88,5 +71,32 @@ mod tests {
         }
         done_rx.recv().await.unwrap().unwrap();
         assert_eq!(out, b"glider-action-worker");
+    }
+
+    #[tokio::test]
+    async fn pool_backed_manager_round_trips() {
+        let registry = Arc::new(ActionRegistry::with_builtins());
+        let spawn = spawner(Some(ActionExecutor::with_workers(2)));
+        let m = ActionManager::new(registry, 2, None, None, spawn);
+        m.create_action(NodeId(1), ActionSpec::new("counter", false))
+            .await
+            .unwrap();
+        let sid = m.open_stream(NodeId(1), StreamDir::Write).await.unwrap();
+        m.push_chunk(sid, 0, Bytes::from_static(b"near-data"))
+            .await
+            .unwrap();
+        m.close_stream(sid).await.unwrap();
+        let rid = m.open_stream(NodeId(1), StreamDir::Read).await.unwrap();
+        let mut out = Vec::new();
+        loop {
+            let (_, bytes, eof) = m.fetch(rid, 1 << 20).await.unwrap();
+            out.extend_from_slice(&bytes);
+            if eof {
+                break;
+            }
+        }
+        assert_eq!(out, b"9");
+        m.delete_action(NodeId(1)).await.unwrap();
+        assert_eq!(m.instance_count(), 0);
     }
 }

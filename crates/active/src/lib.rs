@@ -19,7 +19,7 @@
 //! "Glider (RDMA)" configuration for intra-storage links.
 
 use futures::future::BoxFuture;
-use glider_actions::{ActionExecutor, ActionManager, ActionRegistry};
+use glider_actions::{spawner, ActionExecutor, ActionManager, ActionRegistry};
 use glider_client::{ClientConfig, StoreClient};
 use glider_metrics::{MetricsRegistry, Tier};
 use glider_net::rpc::{ConnCtx, RpcClient, RpcHandler, ServerHandle};
@@ -164,15 +164,13 @@ impl ActiveServer {
         // Instance tasks run on a dedicated core-sized worker pool (the
         // paper's network/action thread split); the serving runtime keeps
         // only connection loops and RPC dispatch.
-        let manager = Arc::new(
-            ActionManager::new(
-                Arc::clone(&config.registry),
-                config.slots as usize,
-                Some(Arc::new(store)),
-                Some(Arc::clone(&metrics)),
-            )
-            .with_executor(ActionExecutor::new()),
-        );
+        let manager = Arc::new(ActionManager::new(
+            Arc::clone(&config.registry),
+            config.slots as usize,
+            Some(Arc::new(store)),
+            Some(Arc::clone(&metrics)),
+            spawner(Some(ActionExecutor::new())),
+        ));
         let handler = Arc::new(ActiveHandler {
             manager: Arc::clone(&manager),
         });

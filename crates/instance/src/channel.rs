@@ -14,6 +14,9 @@
 //!   receiver can answer it. A send after that fails with the value. The
 //!   receiver sees the end (`None`) once every sender has dropped and the
 //!   queue is empty.
+//! - **Shared receivers.** A receiver behind a lock may be polled by
+//!   several tasks (two fetchers of one read stream): each parks its own
+//!   waker, and a send or the last sender's drop wakes them all.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -29,7 +32,7 @@ pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             capacity: capacity.max(1),
             senders: 1,
             closed: false,
-            receiver: None,
+            receivers: Vec::new(),
             blocked: Vec::new(),
         }),
     });
@@ -52,8 +55,8 @@ struct State<T> {
     senders: usize,
     /// The receiver dropped or closed: every send fails.
     closed: bool,
-    /// The receiver's task, parked on an empty queue.
-    receiver: Option<Waker>,
+    /// Tasks parked on an empty queue through the receiver.
+    receivers: Vec<Waker>,
     /// Senders' tasks, parked on a full queue.
     blocked: Vec<Waker>,
 }
@@ -69,6 +72,13 @@ impl<T> Shared<T> {
 impl<T> State<T> {
     fn room(&self) -> usize {
         self.capacity.saturating_sub(self.queue.len())
+    }
+}
+
+/// Parks `waker` in `parked` unless it is there already.
+fn park(parked: &mut Vec<Waker>, waker: &Waker) {
+    if !parked.iter().any(|w| w.will_wake(waker)) {
+        parked.push(waker.clone());
     }
 }
 
@@ -107,27 +117,23 @@ impl<T> Sender<T> {
         self.offer(value, None)
     }
 
-    /// Queues `value` if there is room; on a full queue parks `park`
+    /// Queues `value` if there is room; on a full queue parks `park_on_full`
     /// under the same lock, so no receive slips past it.
-    fn offer(&self, value: T, park: Option<&Waker>) -> Result<(), TrySendError<T>> {
+    fn offer(&self, value: T, park_on_full: Option<&Waker>) -> Result<(), TrySendError<T>> {
         let mut state = self.shared.lock();
         if state.closed {
             return Err(TrySendError::Closed(value));
         }
         if state.room() == 0 {
-            if let Some(waker) = park {
-                if !state.blocked.iter().any(|w| w.will_wake(waker)) {
-                    state.blocked.push(waker.clone());
-                }
+            if let Some(waker) = park_on_full {
+                park(&mut state.blocked, waker);
             }
             return Err(TrySendError::Full(value));
         }
         state.queue.push_back(value);
-        let receiver = state.receiver.take();
+        let receivers = std::mem::take(&mut state.receivers);
         drop(state);
-        if let Some(waker) = receiver {
-            waker.wake();
-        }
+        receivers.into_iter().for_each(Waker::wake);
         Ok(())
     }
 
@@ -147,11 +153,9 @@ impl<T> Sender<T> {
             return Err(TrySendError::Full(values));
         }
         state.queue.extend(values);
-        let receiver = state.receiver.take();
+        let receivers = std::mem::take(&mut state.receivers);
         drop(state);
-        if let Some(waker) = receiver {
-            waker.wake();
-        }
+        receivers.into_iter().for_each(Waker::wake);
         Ok(())
     }
 
@@ -173,6 +177,11 @@ impl<T> Sender<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Whether the receiver is gone: every later send fails.
+    pub fn is_closed(&self) -> bool {
+        self.shared.lock().closed
+    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -188,15 +197,13 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let mut state = self.shared.lock();
         state.senders -= 1;
-        let receiver = if state.senders == 0 {
-            state.receiver.take()
+        let receivers = if state.senders == 0 {
+            std::mem::take(&mut state.receivers)
         } else {
-            None
+            Vec::new()
         };
         drop(state);
-        if let Some(waker) = receiver {
-            waker.wake();
-        }
+        receivers.into_iter().for_each(Waker::wake);
     }
 }
 
@@ -271,8 +278,9 @@ impl<T> Receiver<T> {
     }
 
     /// Pops the next value, waking blocked senders; on an empty, open
-    /// queue parks `park` under the same lock, so no send slips past it.
-    fn take(&self, park: Option<&Waker>) -> Result<T, TryRecvError> {
+    /// queue parks `park_on_empty` beside any other parked waker, under
+    /// the same lock, so no send slips past it.
+    fn take(&self, park_on_empty: Option<&Waker>) -> Result<T, TryRecvError> {
         let mut state = self.shared.lock();
         if let Some(value) = state.queue.pop_front() {
             let blocked = std::mem::take(&mut state.blocked);
@@ -283,8 +291,8 @@ impl<T> Receiver<T> {
         if state.senders == 0 || state.closed {
             return Err(TryRecvError::Disconnected);
         }
-        if let Some(waker) = park {
-            state.receiver = Some(waker.clone());
+        if let Some(waker) = park_on_empty {
+            park(&mut state.receivers, waker);
         }
         Err(TryRecvError::Empty)
     }
@@ -460,12 +468,35 @@ mod tests {
     }
 
     #[test]
+    fn every_task_parked_on_a_shared_receiver_is_woken() {
+        let (tx, mut rx) = channel::<u8>(2);
+        let (first, first_waker) = counter();
+        let (second, second_waker) = counter();
+        assert!(rx
+            .poll_recv(&mut Context::from_waker(&first_waker))
+            .is_pending());
+        assert!(rx
+            .poll_recv(&mut Context::from_waker(&second_waker))
+            .is_pending());
+        tx.try_send(1).unwrap();
+        assert_eq!((wakes(&first), wakes(&second)), (1, 1));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert!(rx
+            .poll_recv(&mut Context::from_waker(&first_waker))
+            .is_pending());
+        assert!(!tx.is_closed());
+        drop(tx);
+        assert_eq!((wakes(&first), wakes(&second)), (2, 1));
+    }
+
+    #[test]
     fn dropping_the_receiver_drops_what_was_queued() {
         let (tx, rx) = channel(2);
         let (inner_tx, mut inner_rx) = channel::<()>(1);
         tx.try_send(inner_tx).unwrap();
         drop(rx);
         assert_eq!(inner_rx.try_recv(), Err(TryRecvError::Disconnected));
+        assert!(tx.is_closed());
         assert!(format!("{tx:?}").contains("closed: true"));
     }
 }

@@ -14,8 +14,9 @@
 //! - stop admitting at `Delete`, and run `on_delete` once the last
 //!   in-flight method has completed;
 //! - when the instance stops (after `on_delete`, after a failed
-//!   `on_create`, or once every handle is gone), close the mailbox and
-//!   answer every invocation still in it with `Closed`;
+//!   `on_create`, once every handle is gone, or when it is dropped
+//!   unfinished), run its [`Instance::on_stop`] hook, close the mailbox
+//!   and answer every invocation still in it with `Closed`;
 //! - run every poll of `on_create`, of a method and of `on_delete` inside
 //!   `catch_unwind`: a panic fails only its own caller, with
 //!   `ActionFailed`.
@@ -24,6 +25,7 @@ use crate::action::{Action, ActionContext, BoxFuture};
 use crate::channel::{channel, Receiver, Sender, TrySendError};
 use crate::stream::{ActionInputStream, ActionOutputStream};
 use glider_metrics::{CountHist, MetricsRegistry, OpKind, Signal};
+use glider_proto::types::NodeId;
 use glider_proto::{ErrorCode, GliderError, GliderResult};
 use glider_trace::{Span, SpanContext};
 use std::any::Any;
@@ -236,8 +238,9 @@ fn read(
         if result.is_ok() {
             result = output.flush().await;
         }
-        // A reader that walked away mid-stream is not an action failure.
-        if matches!(&result, Err(e) if e.code() == ErrorCode::Closed) {
+        // A reader that walked away mid-stream is not an action failure;
+        // a `Closed` of the method's own (a store stream, say) is.
+        if matches!(&result, Err(e) if e.code() == ErrorCode::Closed) && output.reader_gone() {
             result = Ok(());
         }
         drop(output); // close the data channel -> EOF for the client
@@ -331,6 +334,8 @@ pub struct Instance {
     live: bool,
     /// The last [`Action::state_size`] sample, held in the gauge.
     state_bytes: u64,
+    /// Runs once, first thing when the instance stops.
+    on_stop: Option<Box<dyn FnOnce() + Send>>,
 }
 
 impl Instance {
@@ -366,8 +371,22 @@ impl Instance {
             running: Vec::new(),
             live: false,
             state_bytes: 0,
+            on_stop: None,
         };
         (instance, handle, created_rx)
+    }
+
+    /// The node this instance lives in.
+    pub fn node_id(&self) -> NodeId {
+        self.ctx.node_id
+    }
+
+    /// Sets what runs once when the instance stops, before any waiter
+    /// hears of the stop: before the delete's or the failed create's
+    /// answer, and also when the instance is dropped unfinished. The
+    /// action manager frees the node's slot here.
+    pub fn on_stop(&mut self, hook: Box<dyn FnOnce() + Send>) {
+        self.on_stop = Some(hook);
     }
 
     /// Acks `on_create`: a live instance starts admitting, a failed one
@@ -483,10 +502,13 @@ impl Instance {
         self.state_bytes = now;
     }
 
-    /// Releases the gauges, closes the mailbox and answers every
-    /// invocation still in it with `Closed`.
+    /// Runs the stop hook, releases the gauges, closes the mailbox and
+    /// answers every invocation still in it with `Closed`.
     fn stop(&mut self) {
         self.phase = Phase::Stopped;
+        if let Some(hook) = self.on_stop.take() {
+            hook();
+        }
         if let Some(m) = &self.metrics {
             if self.state_bytes > 0 {
                 m.storage_free(self.state_bytes);
@@ -537,6 +559,16 @@ impl Future for Instance {
                 }
                 Phase::Stopped => return Poll::Ready(()),
             }
+        }
+    }
+}
+
+impl Drop for Instance {
+    /// An instance dropped unfinished (its pool shutting down) still
+    /// stops: its hook runs and its gauges are released.
+    fn drop(&mut self) {
+        if !matches!(self.phase, Phase::Stopped) {
+            self.stop();
         }
     }
 }
@@ -981,5 +1013,99 @@ mod tests {
         pusher.finish();
         assert!(poll(&mut instance));
         done.try_recv().unwrap().unwrap();
+    }
+
+    /// A read that fails `Closed` after writing `head`, or walks into a
+    /// gone reader with `head` and then a second chunk.
+    struct ClosedRead {
+        own_error: bool,
+    }
+
+    impl Action for ClosedRead {
+        fn on_read<'a>(
+            &'a self,
+            output: &'a mut ActionOutputStream,
+            _ctx: &'a ActionContext,
+        ) -> BoxFuture<'a, GliderResult<()>> {
+            Box::pin(async move {
+                output.write(Bytes::from_static(b"head")).await?;
+                if self.own_error {
+                    // A store stream of the method's own, closed under it.
+                    return Err(GliderError::closed("store stream"));
+                }
+                output.write(Bytes::from_static(b"more")).await
+            })
+        }
+    }
+
+    fn read_into(
+        instance: &mut Instance,
+        handle: &InstanceHandle,
+    ) -> (Receiver<Bytes>, Receiver<GliderResult<()>>) {
+        let (output, rx) = ActionOutputStream::new(1);
+        let (done, done_rx) = reply();
+        ready(handle.enqueue(Invocation::Read { output, done })).unwrap();
+        poll(instance);
+        (rx, done_rx)
+    }
+
+    #[test]
+    fn a_reader_that_walks_away_is_not_an_action_failure() {
+        let (mut instance, handle, _created) =
+            start(Arc::new(ClosedRead { own_error: false }), false, None);
+        let (rx, mut done) = read_into(&mut instance, &handle);
+        assert!(done.try_recv().is_err(), "blocked on the full output");
+        drop(rx);
+        poll(&mut instance);
+        done.try_recv().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_store_error_closed_reaches_an_attached_reader() {
+        let (mut instance, handle, _created) =
+            start(Arc::new(ClosedRead { own_error: true }), false, None);
+        let (mut rx, mut done) = read_into(&mut instance, &handle);
+        assert_eq!(&rx.try_recv().unwrap()[..], b"head");
+        let err = done.try_recv().unwrap().unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Closed);
+        assert!(err.message().contains("store stream"), "{err}");
+    }
+
+    #[test]
+    fn the_stop_hook_runs_before_the_delete_is_answered_and_on_drop() {
+        let stopped = Arc::new(AtomicBool::new(false));
+        let hook = |flag: &Arc<AtomicBool>| -> Box<dyn FnOnce() + Send> {
+            let flag = Arc::clone(flag);
+            Box::new(move || flag.store(true, Ordering::SeqCst))
+        };
+        let (mut instance, handle, _created) = start(Arc::new(Counter::default()), false, None);
+        instance.on_stop(hook(&stopped));
+        assert_eq!(instance.node_id(), NodeId(1));
+        let mut done = delete(&handle);
+        poll(&mut instance);
+        assert!(stopped.load(Ordering::SeqCst));
+        done.try_recv().unwrap().unwrap();
+
+        let metrics = MetricsRegistry::new();
+        let dropped = Arc::new(AtomicBool::new(false));
+        let (mut instance, handle, _created) = start(
+            Arc::new(Counter::default()),
+            false,
+            Some(Arc::clone(&metrics)),
+        );
+        instance.on_stop(hook(&dropped));
+        poll(&mut instance);
+        let (_pusher, mut stranded) = write(&handle, &[b"x"]);
+        drop(instance);
+        assert!(dropped.load(Ordering::SeqCst), "dropped unfinished");
+        assert_eq!(
+            stranded.try_recv().unwrap().unwrap_err().code(),
+            ErrorCode::Closed
+        );
+        let s = metrics.snapshot();
+        assert_eq!(
+            (s.current(Signal::ActionInstances), s.current(Signal::Queue)),
+            (0, 0)
+        );
     }
 }

@@ -77,21 +77,21 @@ impl ActionInputStream {
                 return Ok(Some(chunk));
             }
             if self.done {
-                return Ok(None);
+                // A gap at EOF means the client vanished mid-stream; skip
+                // each gap, so the method still observes every chunk
+                // that arrived, in order, and finishes.
+                let Some((seq, chunk)) = self.pending.pop_first() else {
+                    return Ok(None);
+                };
+                self.next_seq = seq + 1;
+                self.bytes_received += chunk.len() as u64;
+                return Ok(Some(chunk));
             }
             match self.rx.recv().await {
                 Some((seq, data)) => {
                     self.pending.insert(seq, data);
                 }
-                None => {
-                    self.done = true;
-                    // A gap at EOF means the client vanished mid-stream;
-                    // skip to the next available chunk so the method can
-                    // still observe the remaining data and finish.
-                    if let Some((&seq, _)) = self.pending.iter().next() {
-                        self.next_seq = seq;
-                    }
-                }
+                None => self.done = true,
             }
         }
     }
@@ -169,6 +169,11 @@ impl InputPusher {
         let records = unpack_records(count, data)?;
         let chunks = (seq..).zip(records).collect();
         try_push(self.tx.try_send_all(chunks))
+    }
+
+    /// Chunks queued and not yet taken by the method.
+    pub fn queued(&self) -> usize {
+        self.tx.len()
     }
 
     /// Signals end-of-stream by consuming this pusher.
@@ -267,6 +272,12 @@ impl ActionOutputStream {
     /// flush time).
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent + self.buf.len() as u64
+    }
+
+    /// Whether the reader is gone (its receiver dropped): every later
+    /// write fails `Closed`.
+    pub fn reader_gone(&self) -> bool {
+        self.tx.is_closed()
     }
 }
 
@@ -397,6 +408,17 @@ mod tests {
         ready(pusher.push(2, Bytes::from_static(b"c"))).unwrap();
         pusher.finish();
         assert_eq!(ready(input.read_all()).unwrap(), b"ac");
+    }
+
+    #[test]
+    fn every_gap_at_eof_is_skipped() {
+        let (mut input, pusher) = ActionInputStream::new(8);
+        for (seq, chunk) in [(5, b"e"), (0, b"a"), (2, b"c"), (3, b"d")] {
+            ready(pusher.push(seq, Bytes::from_static(chunk))).unwrap();
+        }
+        pusher.finish();
+        assert_eq!(ready(input.read_all()).unwrap(), b"acde");
+        assert_eq!(input.bytes_received(), 4);
     }
 
     #[test]
@@ -552,7 +574,9 @@ mod tests {
     #[test]
     fn output_write_after_reader_drop_is_closed() {
         let (mut out, rx) = ActionOutputStream::new(1);
+        assert!(!out.reader_gone());
         drop(rx);
+        assert!(out.reader_gone());
         let err = ready(out.write(Bytes::from_static(b"x"))).unwrap_err();
         assert_eq!(err.code(), ErrorCode::Closed);
     }

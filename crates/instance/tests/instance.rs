@@ -1,6 +1,9 @@
 //! The paper's §4.2 promises, checked by running them: a seeded,
-//! one-thread history drives the real `Instance`, polled with a no-op
-//! waker, through a run of instance lifetimes, serial and interleaved.
+//! one-thread history drives the real `Instance` through a run of
+//! instance lifetimes, serial and interleaved. The instance's waker
+//! records its wake-ups, and the instance is polled again only after it
+//! fired; polled unwoken, it must make no progress, or a wake-up was lost
+//! and the history fails naming its seed and step.
 //!
 //! The seed chooses the order of everything the outside world does: it
 //! enqueues writes, reads and deletes through a small mailbox (retrying
@@ -52,8 +55,9 @@ use std::collections::BTreeSet;
 use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 
 /// Steps one history takes.
 const STEPS: usize = 3000;
@@ -106,6 +110,8 @@ struct ProbeState {
     deleting: bool,
     opened: BTreeSet<Gate>,
     every_gate_open: bool,
+    /// Wakers of futures waiting at a shut gate.
+    at_gates: Vec<Waker>,
     /// Reads that panic past their gate, by ordinal.
     read_panics: BTreeSet<usize>,
     /// Bytes the writes consumed.
@@ -165,14 +171,29 @@ impl Probe {
     }
 
     fn gate(&self, gate: Gate) -> impl Future<Output = ()> + '_ {
-        poll_fn(move |_| {
-            let s = self.lock();
+        poll_fn(move |cx| {
+            let mut s = self.lock();
             if s.every_gate_open || s.opened.contains(&gate) {
                 Poll::Ready(())
             } else {
+                s.at_gates.push(cx.waker().clone());
                 Poll::Pending
             }
         })
+    }
+
+    /// Opens `gate` (or every gate), waking whatever waits at one.
+    fn open(&self, gate: Option<Gate>) {
+        let mut s = self.lock();
+        match gate {
+            Some(gate) => {
+                s.opened.insert(gate);
+            }
+            None => s.every_gate_open = true,
+        }
+        let waiting = std::mem::take(&mut s.at_gates);
+        drop(s);
+        waiting.into_iter().for_each(Waker::wake);
     }
 }
 
@@ -353,11 +374,23 @@ struct Inv {
     refused: bool,
 }
 
+/// The instance's waker: records that it fired.
+#[derive(Default)]
+struct Woken(AtomicBool);
+
+impl Wake for Woken {
+    fn wake(self: Arc<Self>) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 /// One instance, from creation until it stops and everything is run out.
 struct Lifetime {
     probe: Arc<Probe>,
     metrics: Arc<MetricsRegistry>,
     instance: Instance,
+    /// Set by the instance's waker; a new instance starts woken.
+    woken: Arc<Woken>,
     handle: Option<InstanceHandle>,
     interleaved: bool,
     create: Create,
@@ -409,6 +442,7 @@ fn new_life(rng: &mut Lcg) -> Lifetime {
         probe,
         metrics,
         instance,
+        woken: Arc::new(Woken(AtomicBool::new(true))),
         handle: Some(handle),
         interleaved,
         create,
@@ -472,15 +506,54 @@ impl History {
         self.rng.next() % 100 < percent
     }
 
-    /// Polls the instance once; its code must not unwind.
+    /// What an unwoken poll must leave as it was: methods started and
+    /// deleted, bytes consumed, replies sent, chunks written and taken.
+    fn progress(&self) -> [u64; 6] {
+        let life = &self.life;
+        let s = life.probe.lock();
+        let replies = life.created.len() + life.invs.iter().map(|i| i.done.len()).sum::<usize>();
+        let (mut written, mut queued) = (0, 0);
+        for inv in &life.invs {
+            match &inv.plan {
+                Plan::Read { rx: Some(rx), .. } => written += rx.len(),
+                Plan::Write {
+                    pusher: Some(p), ..
+                } => queued += p.queued(),
+                _ => {}
+            }
+        }
+        [
+            s.started.len() as u64,
+            s.deletes as u64,
+            s.total,
+            replies as u64,
+            written as u64,
+            queued as u64,
+        ]
+    }
+
+    /// Polls the instance if its waker fired. Unwoken, it is polled to
+    /// show it cannot progress: if it does, a wake-up was lost.
     fn poll(&mut self) {
         if self.life.stopped {
             return;
         }
+        let woken = self.life.woken.0.swap(false, Ordering::SeqCst);
+        let before = (!woken).then(|| self.progress());
+        let waker = Waker::from(Arc::clone(&self.life.woken));
         let instance = &mut self.life.instance;
         let polled = catch_unwind(AssertUnwindSafe(|| {
-            Pin::new(instance).poll(&mut Context::from_waker(Waker::noop()))
+            Pin::new(instance).poll(&mut Context::from_waker(&waker))
         }));
+        if let Some(before) = before {
+            let progressed =
+                polled.as_ref().is_ok_and(|p| p.is_ready()) || self.progress() != before;
+            assert!(
+                !progressed,
+                "{}: lost wake-up: the instance progressed unwoken",
+                self.at()
+            );
+        }
         match polled {
             Ok(Poll::Ready(())) => self.life.stopped = true,
             Ok(Poll::Pending) => {}
@@ -778,7 +851,7 @@ impl History {
                 *f = floor;
             }
         }
-        self.life.probe.lock().opened.insert(gate);
+        self.life.probe.open(Some(gate));
     }
 
     /// What the writes already answered have consumed.
@@ -932,7 +1005,7 @@ impl History {
     /// closed, every reader drained, a delete if none was sent; then the
     /// stopped instance must refuse more work.
     fn end_life(&mut self) {
-        self.life.probe.lock().every_gate_open = true;
+        self.life.probe.open(None);
         let mut rounds = 0;
         while !(self.life.stopped && self.life.invs.iter().all(|i| i.parked.is_none())) {
             rounds += 1;

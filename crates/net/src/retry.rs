@@ -86,7 +86,7 @@ impl RetryPolicy {
         if nanos == 0 {
             return Duration::ZERO;
         }
-        Duration::from_nanos(rng.next() % (nanos + 1))
+        Duration::from_nanos(rng.next_u64() % (nanos + 1))
     }
 }
 
@@ -103,7 +103,7 @@ impl JitterRng {
     }
 
     /// The next pseudo-random `u64`.
-    pub fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
         x ^= x << 25;

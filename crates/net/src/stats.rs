@@ -650,26 +650,29 @@ mod tests {
         assert_eq!(fmt_ns(3_000_000_000), "3.00s");
     }
 
-    fn span(
+    /// What a test span varies; an errored span is pinned.
+    struct Span {
         seq: u64,
-        name: &str,
+        name: &'static str,
         trace: u64,
         id: u64,
         parent: u64,
         remote: bool,
         ms: u64,
         err: bool,
-    ) -> WireSpan {
+    }
+
+    fn span(s: Span) -> WireSpan {
         WireSpan {
-            seq,
-            name: name.to_string(),
-            trace_id: trace,
-            span_id: id,
-            parent_span: parent,
-            remote,
-            duration_ns: ms * 1_000_000,
-            err,
-            pinned: err,
+            seq: s.seq,
+            name: s.name.to_string(),
+            trace_id: s.trace,
+            span_id: s.id,
+            parent_span: s.parent,
+            remote: s.remote,
+            duration_ns: s.ms * 1_000_000,
+            err: s.err,
+            pinned: s.err,
         }
     }
 
@@ -678,12 +681,48 @@ mod tests {
         let dump = SpanDump {
             source: "mem://m,mem://d".to_string(),
             spans: vec![
-                span(1, "client.call", 7, 1, 0, false, 10, false),
-                span(2, "rpc.dispatch", 7, 2, 1, true, 8, false),
-                span(3, "data.handle", 7, 3, 2, false, 6, true),
+                span(Span {
+                    seq: 1,
+                    name: "client.call",
+                    trace: 7,
+                    id: 1,
+                    parent: 0,
+                    remote: false,
+                    ms: 10,
+                    err: false,
+                }),
+                span(Span {
+                    seq: 2,
+                    name: "rpc.dispatch",
+                    trace: 7,
+                    id: 2,
+                    parent: 1,
+                    remote: true,
+                    ms: 8,
+                    err: false,
+                }),
+                span(Span {
+                    seq: 3,
+                    name: "data.handle",
+                    trace: 7,
+                    id: 3,
+                    parent: 2,
+                    remote: false,
+                    ms: 6,
+                    err: true,
+                }),
                 // Orphan: its parent aged out of every recorder; it must
                 // render as a root, not vanish.
-                span(4, "writer.recover", 7, 9, 100, false, 1, false),
+                span(Span {
+                    seq: 4,
+                    name: "writer.recover",
+                    trace: 7,
+                    id: 9,
+                    parent: 100,
+                    remote: false,
+                    ms: 1,
+                    err: false,
+                }),
             ],
             events: vec![WireEvent {
                 seq: 5,
@@ -740,8 +779,26 @@ mod tests {
         let cyclic = SpanDump {
             source: "mem://m".to_string(),
             spans: vec![
-                span(1, "t.a", 7, 1, 2, false, 5, false),
-                span(2, "t.b", 7, 2, 1, false, 5, false),
+                span(Span {
+                    seq: 1,
+                    name: "t.a",
+                    trace: 7,
+                    id: 1,
+                    parent: 2,
+                    remote: false,
+                    ms: 5,
+                    err: false,
+                }),
+                span(Span {
+                    seq: 2,
+                    name: "t.b",
+                    trace: 7,
+                    id: 2,
+                    parent: 1,
+                    remote: false,
+                    ms: 5,
+                    err: false,
+                }),
             ],
             events: vec![],
             dropped_spans: 0,

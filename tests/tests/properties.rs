@@ -474,7 +474,7 @@ proptest! {
         records in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 6..7), 0..40),
         chunking in 1usize..13,
     ) {
-        use glider_core::actions::{ActionManager, ActionRegistry};
+        use glider_core::actions::{spawner, ActionManager, ActionRegistry};
         use glider_core::proto::types::{NodeId as NId, StreamDir as SDir};
         use std::sync::Arc as StdArc;
 
@@ -482,7 +482,8 @@ proptest! {
             .build()
             .expect("rt");
         rt.block_on(async {
-            let m = ActionManager::new(StdArc::new(ActionRegistry::with_builtins()), 2, None, None);
+            let registry = StdArc::new(ActionRegistry::with_builtins());
+            let m = ActionManager::new(registry, 2, None, None, spawner(None));
             m.create_action(
                 NId(1),
                 glider_core::ActionSpec::new("sorter", false).with_params("record=6;key=3"),
