@@ -37,6 +37,7 @@ mod tests {
     };
     use glider_proto::types::{ActionSpec, NodeId, StreamDir};
     use glider_proto::GliderResult;
+    use glider_trace::SpanContext;
 
     #[tokio::test]
     async fn instances_run_on_the_action_pool() {
@@ -81,12 +82,18 @@ mod tests {
         m.create_action(NodeId(1), ActionSpec::new("counter", false))
             .await
             .unwrap();
-        let sid = m.open_stream(NodeId(1), StreamDir::Write).await.unwrap();
+        let sid = m
+            .open_stream(SpanContext::NONE, NodeId(1), StreamDir::Write)
+            .await
+            .unwrap();
         m.push_chunk(sid, 0, Bytes::from_static(b"near-data"))
             .await
             .unwrap();
         m.close_stream(sid).await.unwrap();
-        let rid = m.open_stream(NodeId(1), StreamDir::Read).await.unwrap();
+        let rid = m
+            .open_stream(SpanContext::NONE, NodeId(1), StreamDir::Read)
+            .await
+            .unwrap();
         let mut out = Vec::new();
         loop {
             let (_, bytes, eof) = m.fetch(rid, 1 << 20).await.unwrap();
@@ -96,7 +103,7 @@ mod tests {
             }
         }
         assert_eq!(out, b"9");
-        m.delete_action(NodeId(1)).await.unwrap();
+        m.delete_action(SpanContext::NONE, NodeId(1)).await.unwrap();
         assert_eq!(m.instance_count(), 0);
     }
 }

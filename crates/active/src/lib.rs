@@ -25,7 +25,7 @@ use glider_metrics::{MetricsRegistry, Tier};
 use glider_net::rpc::{ConnCtx, RpcClient, RpcHandler, ServerHandle};
 use glider_proto::message::{RequestBody, ResponseBody};
 use glider_proto::types::{ServerId, ServerKind, StorageClass};
-use glider_proto::{ErrorCode, GliderError, GliderResult};
+use glider_proto::{GliderError, GliderResult};
 use glider_util::ByteSize;
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,111 +233,21 @@ impl RpcHandler for ActiveHandler {
     ) -> BoxFuture<'static, GliderResult<ResponseBody>> {
         Box::pin(async move {
             let span = glider_trace::Span::child_of(ctx.span_context(), "active.handle");
-            let span_ctx = span.context();
-            match body {
-                RequestBody::Hello { .. } => Ok(ResponseBody::Ok),
-                RequestBody::ActionCreate { node_id, spec, .. } => {
-                    self.manager.create_action(node_id, spec).await?;
-                    Ok(ResponseBody::Ok)
-                }
-                RequestBody::ActionDelete { node_id } => {
-                    self.manager.abort_streams_of(node_id);
-                    self.manager.delete_action_traced(span_ctx, node_id).await?;
-                    Ok(ResponseBody::Ok)
-                }
-                RequestBody::StreamOpen { node_id, dir } => {
-                    let stream_id = self
-                        .manager
-                        .open_stream_traced(span_ctx, node_id, dir)
-                        .await?;
-                    Ok(ResponseBody::StreamOpened { stream_id })
-                }
-                RequestBody::StreamChunk {
-                    stream_id,
-                    seq,
-                    data,
-                } => {
-                    self.manager.push_chunk(stream_id, seq, data).await?;
-                    Ok(ResponseBody::Ok)
-                }
-                RequestBody::StreamChunkBatch {
-                    stream_id,
-                    seq,
-                    count,
-                    data,
-                } => {
-                    self.manager
-                        .push_chunk_batch(stream_id, seq, count, data)
-                        .await?;
-                    Ok(ResponseBody::Ok)
-                }
-                RequestBody::StreamFetch { stream_id, max_len } => {
-                    let (seq, bytes, eof) = self.manager.fetch(stream_id, max_len).await?;
-                    Ok(ResponseBody::Data { seq, bytes, eof })
-                }
-                RequestBody::StreamClose { stream_id } => {
-                    self.manager.close_stream(stream_id).await?;
-                    Ok(ResponseBody::Ok)
-                }
-                other => Err(GliderError::new(
-                    ErrorCode::Unsupported,
-                    format!("active servers do not support {}", other.op().name),
-                )),
-            }
+            self.manager.serve(span.context(), body).await
         })
     }
 
-    /// Streaming fast path: chunk pushes land in the instance's queue and
-    /// fetches serve already-produced chunks synchronously on the
-    /// connection task — no spawn, no await, and the payload `Bytes` is
-    /// the receive buffer's slice end to end (zero copies server-side).
-    /// A full queue or an empty read stream declines, so backpressure and
-    /// waiting stay on the dispatched async path.
+    /// Streaming fast path: the first poll of the same `serve`, on the
+    /// connection task (no spawn), so a push whose queue has room and a
+    /// fetch whose chunk is ready are answered here, and the payload
+    /// `Bytes` is the receive buffer's slice end to end. A request that
+    /// would wait comes back for the dispatched path.
     fn try_handle_sync(
         self: Arc<Self>,
         _ctx: ConnCtx,
         body: RequestBody,
     ) -> Result<GliderResult<ResponseBody>, RequestBody> {
-        match body {
-            RequestBody::StreamChunk {
-                stream_id,
-                seq,
-                data,
-            } => match self.manager.try_push_chunk(stream_id, seq, data.clone()) {
-                Some(result) => Ok(result.map(|()| ResponseBody::Ok)),
-                None => Err(RequestBody::StreamChunk {
-                    stream_id,
-                    seq,
-                    data,
-                }),
-            },
-            RequestBody::StreamChunkBatch {
-                stream_id,
-                seq,
-                count,
-                data,
-            } => match self
-                .manager
-                .try_push_chunk_batch(stream_id, seq, count, data.clone())
-            {
-                Some(result) => Ok(result.map(|()| ResponseBody::Ok)),
-                None => Err(RequestBody::StreamChunkBatch {
-                    stream_id,
-                    seq,
-                    count,
-                    data,
-                }),
-            },
-            RequestBody::StreamFetch { stream_id, max_len } => {
-                match self.manager.try_fetch(stream_id) {
-                    Some(result) => {
-                        Ok(result.map(|(seq, bytes, eof)| ResponseBody::Data { seq, bytes, eof }))
-                    }
-                    None => Err(RequestBody::StreamFetch { stream_id, max_len }),
-                }
-            }
-            other => Err(other),
-        }
+        self.manager.try_serve(body)
     }
 }
 
@@ -347,6 +257,7 @@ mod tests {
     use bytes::Bytes;
     use glider_metadata::MetadataServer;
     use glider_proto::types::ActionSpec;
+    use glider_proto::ErrorCode;
     use glider_storage::{StorageServer, StorageServerConfig};
 
     struct TestCluster {

@@ -575,7 +575,7 @@ mod tests {
     fn feed_in(action: &dyn Action, data: &[u8], ctx: &ActionContext) {
         let (mut input, pusher) = ActionInputStream::new(64);
         for (seq, chunk) in (0..).zip(data.chunks(7)) {
-            pusher.try_push(seq, Bytes::copy_from_slice(chunk)).unwrap();
+            ready(pusher.push(seq, Bytes::copy_from_slice(chunk))).unwrap();
         }
         pusher.finish();
         ready(action.on_write(&mut input, ctx)).unwrap();

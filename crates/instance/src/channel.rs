@@ -6,9 +6,7 @@
 //! parks its task's `Waker`, and the other side wakes it.
 //!
 //! - **Bounded.** At most `capacity` values wait. [`Sender::try_send`]
-//!   refuses a value it cannot queue and hands it back;
-//!   [`Sender::try_send_all`] queues a whole batch or none of it, under
-//!   one lock.
+//!   refuses a value it cannot queue and hands it back.
 //! - **Closing.** The channel closes when the receiver drops or calls
 //!   [`Receiver::close`], which hands back what was still queued, so the
 //!   receiver can answer it. A send after that fails with the value. The
@@ -131,28 +129,6 @@ impl<T> Sender<T> {
             return Err(TrySendError::Full(value));
         }
         state.queue.push_back(value);
-        let receivers = std::mem::take(&mut state.receivers);
-        drop(state);
-        receivers.into_iter().for_each(Waker::wake);
-        Ok(())
-    }
-
-    /// Queues every value in order, or none: under one lock, so no other
-    /// sender's value lands between them.
-    ///
-    /// # Errors
-    ///
-    /// Hands `values` back whole, as [`TrySendError::Full`] when they do
-    /// not all fit, or [`TrySendError::Closed`].
-    pub fn try_send_all(&self, values: Vec<T>) -> Result<(), TrySendError<Vec<T>>> {
-        let mut state = self.shared.lock();
-        if state.closed {
-            return Err(TrySendError::Closed(values));
-        }
-        if state.room() < values.len() {
-            return Err(TrySendError::Full(values));
-        }
-        state.queue.extend(values);
         let receivers = std::mem::take(&mut state.receivers);
         drop(state);
         receivers.into_iter().for_each(Waker::wake);
@@ -401,22 +377,6 @@ mod tests {
         tx.try_send("b").unwrap();
         drop(rx);
         assert_eq!(tx.try_send("c"), Err(TrySendError::Closed("c")));
-    }
-
-    #[test]
-    fn try_send_all_queues_all_or_nothing() {
-        let (tx, mut rx) = channel(3);
-        tx.try_send(0).unwrap();
-        assert_eq!(
-            tx.try_send_all(vec![1, 2, 3]),
-            Err(TrySendError::Full(vec![1, 2, 3]))
-        );
-        assert_eq!(rx.len(), 1, "a refused batch leaves nothing behind");
-        tx.try_send_all(vec![1, 2]).unwrap();
-        let got: Vec<i32> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
-        assert_eq!(got, [0, 1, 2]);
-        rx.close();
-        assert_eq!(tx.try_send_all(vec![4]), Err(TrySendError::Closed(vec![4])));
     }
 
     #[test]

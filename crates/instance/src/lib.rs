@@ -56,7 +56,7 @@ pub use instance::{reply, Enqueued, Instance, InstanceHandle, Invocation, Reply,
 pub use manager::{ActionManager, Spawn};
 pub use memstore::MemStore;
 pub use registry::{ActionFactory, ActionRegistry};
-pub use stream::{ActionInputStream, ActionOutputStream, InputPusher, LineReader, TryPush};
+pub use stream::{ActionInputStream, ActionOutputStream, InputPusher, LineReader};
 
 /// Polls `future` once; every future a unit test runs this way must be
 /// ready without waiting.

@@ -24,29 +24,37 @@
 //!   method's result and the next seq sit behind one `std::sync::Mutex`.
 //!   Seqs are assigned under it, so concurrent windowed fetches get dense,
 //!   distinct seqs, and every fetcher waiting on the stream parks its own
-//!   waker ([`mod@crate::channel`]), so each is woken. [`ActionManager::try_fetch`]
-//!   declines when the lock is contended.
+//!   waker ([`mod@crate::channel`]), so each is woken.
+//! - **One path per request.** [`ActionManager::serve`] answers every
+//!   action request. The connection loop's synchronous fast path,
+//!   [`ActionManager::try_serve`], is that future's first poll: a stream
+//!   request that would wait has had no effect yet, so it is dropped and
+//!   its body handed back for the async path.
 
 use crate::action::{ActionContext, StoreAccess};
 use crate::channel::Receiver;
 use crate::instance::{reply, Enqueued, Instance, InstanceHandle, Invocation, MAILBOX_DEPTH};
 use crate::registry::ActionRegistry;
-use crate::stream::{ActionInputStream, ActionOutputStream, InputPusher, TryPush};
+use crate::stream::{ActionInputStream, ActionOutputStream, InputPusher};
 use bytes::Bytes;
 use glider_metrics::MetricsRegistry;
+use glider_proto::message::{RequestBody, ResponseBody};
 use glider_proto::types::{ActionSpec, NodeId, StreamDir, StreamId};
 use glider_proto::{ErrorCode, GliderError, GliderResult};
 use glider_trace::SpanContext;
 use std::collections::HashMap;
-use std::future::poll_fn;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::future::{poll_fn, Future};
+use std::pin::pin;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{ready, Context, Poll, Waker};
 
 /// Starts an instance: the manager hands each new [`Instance`] to this
 /// function, which must poll it to completion (or drop it).
 pub type Spawn = Arc<dyn Fn(Instance) + Send + Sync>;
 
-/// Queue depth (chunks) for write streams (client → action).
+/// Queue depth for write streams (client → action), in push requests: a
+/// `StreamChunk` or a whole `StreamChunkBatch` each, so a stream holds at
+/// most this many frames' payloads.
 const INPUT_QUEUE_DEPTH: usize = 64;
 /// Queue depth (chunks) for read streams (action → client).
 const OUTPUT_QUEUE_DEPTH: usize = 16;
@@ -96,10 +104,12 @@ struct ReadSide {
 }
 
 impl ReadSide {
-    /// The next chunk with its seq, or the end with the chunk count.
+    // glider: hot-path (action stream fetch, under the read side's lock)
+    /// The next chunk with its seq, or the end with the chunk count. A
+    /// pending poll changes nothing but the parked wakers.
     fn poll_fetch(&mut self, cx: &mut Context<'_>) -> Poll<GliderResult<(u64, Bytes, bool)>> {
         let end = match &self.end {
-            Some(end) => end.clone(),
+            Some(end) => end.clone(), // glider: alloc-ok (the method's result, once per fetch past the end, not per chunk)
             None => {
                 if let Some(bytes) = ready!(self.rx.poll_recv(cx)) {
                     let seq = self.next_seq;
@@ -108,12 +118,13 @@ impl ReadSide {
                 }
                 let end = ready!(self.done.poll_recv(cx))
                     .unwrap_or_else(|| Err(GliderError::closed("action instance")));
-                self.end = Some(end.clone());
+                self.end = Some(end.clone()); // glider: alloc-ok (kept once per stream, at its end)
                 end
             }
         };
         Poll::Ready(end.map(|()| (self.next_seq, Bytes::new(), true)))
     }
+    // glider: end-hot-path
 }
 
 /// Manages the action objects and streams of one active server.
@@ -215,27 +226,15 @@ impl ActionManager {
     }
 
     /// Removes the action object of `node_id`, running `on_delete` after
-    /// in-flight methods finish. The node and its slot are free when this
-    /// returns.
+    /// in-flight methods finish, under the caller's trace `parent`
+    /// ([`SpanContext::NONE`] for none). The node and its slot are free
+    /// when this returns.
     ///
     /// # Errors
     ///
     /// Returns [`ErrorCode::NotFound`] when the node hosts no object, or
     /// its delete has already begun.
-    pub async fn delete_action(&self, node_id: NodeId) -> GliderResult<()> {
-        self.delete_action_traced(SpanContext::NONE, node_id).await
-    }
-
-    /// [`ActionManager::delete_action`] continuing the caller's trace.
-    ///
-    /// # Errors
-    ///
-    /// See [`ActionManager::delete_action`].
-    pub async fn delete_action_traced(
-        &self,
-        parent: SpanContext,
-        node_id: NodeId,
-    ) -> GliderResult<()> {
+    pub async fn delete_action(&self, parent: SpanContext, node_id: NodeId) -> GliderResult<()> {
         let handle = self
             .table()
             .nodes
@@ -254,25 +253,14 @@ impl ActionManager {
     }
 
     /// Opens an I/O stream against `node_id`, queueing the corresponding
-    /// method invocation.
+    /// method invocation. Its `action.queue`/`action.run` spans become
+    /// children of `parent` ([`SpanContext::NONE`] for none).
     ///
     /// # Errors
     ///
     /// Returns [`ErrorCode::NotFound`] when the node hosts no object (or
     /// its delete has begun).
-    pub async fn open_stream(&self, node_id: NodeId, dir: StreamDir) -> GliderResult<StreamId> {
-        self.open_stream_traced(SpanContext::NONE, node_id, dir)
-            .await
-    }
-
-    /// [`ActionManager::open_stream`] continuing the caller's trace: the
-    /// queued method invocation's `action.queue`/`action.run` spans become
-    /// children of `parent`.
-    ///
-    /// # Errors
-    ///
-    /// See [`ActionManager::open_stream`].
-    pub async fn open_stream_traced(
+    pub async fn open_stream(
         &self,
         parent: SpanContext,
         node_id: NodeId,
@@ -335,8 +323,9 @@ impl ActionManager {
 
     /// Pushes a record batch on a write stream: `count` length-prefixed
     /// records packed in `data` (see [`glider_proto::batch`]), occupying
-    /// sequence numbers `seq .. seq + count`. Waits for queue capacity
-    /// like [`ActionManager::push_chunk`].
+    /// sequence numbers `seq .. seq + count`. The batch is one queue
+    /// entry, so it waits for room like [`ActionManager::push_chunk`] and
+    /// is queued whole.
     ///
     /// # Errors
     ///
@@ -355,38 +344,6 @@ impl ActionManager {
         pusher.push_batch(seq, count, data).await
     }
 
-    /// Non-blocking [`ActionManager::push_chunk`] for the connection
-    /// loop's sync fast path. `None` means the stream's queue is full and
-    /// the caller must retry on the async path; `Some` is a final result.
-    pub fn try_push_chunk(
-        &self,
-        stream_id: StreamId,
-        seq: u64,
-        data: Bytes,
-    ) -> Option<GliderResult<()>> {
-        settled(
-            self.write_pusher(stream_id)
-                .and_then(|pusher| pusher.try_push(seq, data)),
-        )
-    }
-
-    /// Non-blocking [`ActionManager::push_chunk_batch`]: all-or-nothing,
-    /// so a batch is never split between the fast and the async path,
-    /// where its successor could overtake its tail. `None` means retry on
-    /// the async path.
-    pub fn try_push_chunk_batch(
-        &self,
-        stream_id: StreamId,
-        seq: u64,
-        count: u32,
-        data: Bytes,
-    ) -> Option<GliderResult<()>> {
-        settled(
-            self.write_pusher(stream_id)
-                .and_then(|pusher| pusher.try_push_batch(seq, count, data)),
-        )
-    }
-
     fn write_pusher(&self, stream_id: StreamId) -> GliderResult<InputPusher> {
         match self.table().streams.get(&stream_id) {
             Some(Stream::Write { pusher, .. }) => Ok(pusher.clone()),
@@ -398,8 +355,8 @@ impl ActionManager {
         }
     }
 
-    /// Chunks queued on a write stream and not yet taken by its method
-    /// (diagnostics); `None` for anything but an open write stream.
+    /// Push requests queued on a write stream and not yet taken by its
+    /// method (diagnostics); `None` for anything but an open write stream.
     pub fn queued(&self, stream_id: StreamId) -> Option<usize> {
         match self.table().streams.get(&stream_id) {
             Some(Stream::Write { pusher, .. }) => Some(pusher.queued()),
@@ -439,26 +396,6 @@ impl ActionManager {
     ) -> GliderResult<(u64, Bytes, bool)> {
         let side = self.read_side(stream_id)?;
         poll_fn(|cx| lock(&side).poll_fetch(cx)).await
-    }
-
-    /// Non-blocking [`ActionManager::fetch`] for the connection loop's
-    /// sync fast path: serves a chunk (or a settled EOF) only when it is
-    /// already available. `None` means the caller must go through the
-    /// async path — data not ready, stream unknown or contended, or an
-    /// EOF whose method result has not settled yet.
-    pub fn try_fetch(&self, stream_id: StreamId) -> Option<GliderResult<(u64, Bytes, bool)>> {
-        // Wrong-direction and not-found errors are produced on the async
-        // path.
-        let side = self.read_side(stream_id).ok()?;
-        let mut side = match side.try_lock() {
-            Ok(side) => side,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        match side.poll_fetch(&mut Context::from_waker(Waker::noop())) {
-            Poll::Ready(result) => Some(result),
-            Poll::Pending => None,
-        }
     }
 
     /// Closes a stream. For write streams this signals end-of-input and
@@ -502,14 +439,97 @@ impl ActionManager {
             .streams
             .retain(|_, stream| stream.node_id() != node_id);
     }
-}
 
-/// A fast-path push's answer: `None` when the queue was full.
-fn settled(pushed: GliderResult<TryPush>) -> Option<GliderResult<()>> {
-    match pushed {
-        Ok(TryPush::Pushed) => Some(Ok(())),
-        Ok(TryPush::Full) => None,
-        Err(e) => Some(Err(e)),
+    /// Answers one request of the active server: `Hello`, the action
+    /// lifecycle (`ActionCreate`, `ActionDelete`, which first drops the
+    /// node's streams) and the stream requests. `parent` is the caller's
+    /// trace: a delete's and an open's queued invocation run under it.
+    ///
+    /// # Errors
+    ///
+    /// The manager call's error, or [`ErrorCode::Unsupported`] naming any
+    /// other request.
+    pub async fn serve(
+        &self,
+        parent: SpanContext,
+        body: RequestBody,
+    ) -> GliderResult<ResponseBody> {
+        match body {
+            RequestBody::Hello { .. } => Ok(ResponseBody::Ok),
+            RequestBody::ActionCreate { node_id, spec, .. } => {
+                self.create_action(node_id, spec).await?;
+                Ok(ResponseBody::Ok)
+            }
+            RequestBody::ActionDelete { node_id } => {
+                self.abort_streams_of(node_id);
+                self.delete_action(parent, node_id).await?;
+                Ok(ResponseBody::Ok)
+            }
+            RequestBody::StreamOpen { node_id, dir } => {
+                let stream_id = self.open_stream(parent, node_id, dir).await?;
+                Ok(ResponseBody::StreamOpened { stream_id })
+            }
+            // glider: hot-path (action stream requests, answered by `try_serve` when ready)
+            RequestBody::StreamChunk {
+                stream_id,
+                seq,
+                data,
+            } => {
+                self.push_chunk(stream_id, seq, data).await?;
+                Ok(ResponseBody::Ok)
+            }
+            RequestBody::StreamChunkBatch {
+                stream_id,
+                seq,
+                count,
+                data,
+            } => {
+                self.push_chunk_batch(stream_id, seq, count, data).await?;
+                Ok(ResponseBody::Ok)
+            }
+            RequestBody::StreamFetch { stream_id, max_len } => {
+                let (seq, bytes, eof) = self.fetch(stream_id, max_len).await?;
+                Ok(ResponseBody::Data { seq, bytes, eof })
+            }
+            // glider: end-hot-path
+            RequestBody::StreamClose { stream_id } => {
+                self.close_stream(stream_id).await?;
+                Ok(ResponseBody::Ok)
+            }
+            other => Err(GliderError::new(
+                ErrorCode::Unsupported,
+                format!("active servers do not support {}", other.op().name),
+            )),
+        }
+    }
+
+    /// The first poll of [`ActionManager::serve`], for the connection
+    /// loop's synchronous fast path: no spawn, and the payload `Bytes` is
+    /// the receive buffer's slice end to end. A push whose queue has room,
+    /// a fetch whose chunk or end is ready, and every error are answered
+    /// now; a fetch waits out the read side's short critical section.
+    ///
+    /// # Errors
+    ///
+    /// Hands the body back, its payload shared and not copied, when a
+    /// push or fetch would wait: it has had no effect, so the caller runs
+    /// [`ActionManager::serve`]. Every other request is handed back
+    /// untouched, since dropping a pending create, delete, open or close
+    /// would lose its effect.
+    pub fn try_serve(&self, body: RequestBody) -> Result<GliderResult<ResponseBody>, RequestBody> {
+        if !matches!(
+            body,
+            RequestBody::StreamChunk { .. }
+                | RequestBody::StreamChunkBatch { .. }
+                | RequestBody::StreamFetch { .. }
+        ) {
+            return Err(body);
+        }
+        let serving = pin!(self.serve(SpanContext::NONE, body.clone()));
+        match serving.poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(answer) => Ok(answer),
+            Poll::Pending => Err(body),
+        }
     }
 }
 
@@ -526,8 +546,8 @@ impl std::fmt::Debug for ActionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::future::Future;
-    use std::pin::{pin, Pin};
+    use glider_proto::types::{BlockId, PeerTier};
+    use std::pin::Pin;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::task::Wake;
 
@@ -580,7 +600,8 @@ mod tests {
         }
 
         fn open(&self, node: u64, dir: StreamDir) -> StreamId {
-            self.run(self.m.open_stream(NodeId(node), dir)).unwrap()
+            self.run(self.m.open_stream(SpanContext::NONE, NodeId(node), dir))
+                .unwrap()
         }
 
         fn push(&self, sid: StreamId, seq: u64, data: &'static [u8]) {
@@ -628,7 +649,8 @@ mod tests {
         h.counter(1);
         let err = h.create(2, ActionSpec::new("counter", false));
         assert_eq!(code(err), ErrorCode::OutOfCapacity);
-        h.run(h.m.delete_action(NodeId(1))).unwrap();
+        h.run(h.m.delete_action(SpanContext::NONE, NodeId(1)))
+            .unwrap();
         h.counter(2);
     }
 
@@ -638,7 +660,7 @@ mod tests {
         h.counter(1);
         let err = h.create(1, ActionSpec::new("counter", false));
         assert_eq!(code(err), ErrorCode::AlreadyExists);
-        let err = h.run(h.m.delete_action(NodeId(9)));
+        let err = h.run(h.m.delete_action(SpanContext::NONE, NodeId(9)));
         assert_eq!(code(err), ErrorCode::NotFound);
     }
 
@@ -678,7 +700,7 @@ mod tests {
     #[test]
     fn streams_on_missing_action_fail() {
         let h = host(4);
-        let err = h.run(h.m.open_stream(NodeId(5), StreamDir::Write));
+        let err = h.run(h.m.open_stream(SpanContext::NONE, NodeId(5), StreamDir::Write));
         assert_eq!(code(err), ErrorCode::NotFound);
         let push = h.m.push_chunk(StreamId(77), 0, Bytes::new());
         assert_eq!(code(h.run(push)), ErrorCode::NotFound);
@@ -760,39 +782,139 @@ mod tests {
         assert_eq!(h.read_all(1), b"11");
     }
 
+    fn chunk(stream_id: StreamId, seq: u64, data: &'static [u8]) -> RequestBody {
+        RequestBody::StreamChunk {
+            stream_id,
+            seq,
+            data: Bytes::from_static(data),
+        }
+    }
+
+    fn fetch(stream_id: StreamId) -> RequestBody {
+        RequestBody::StreamFetch {
+            stream_id,
+            max_len: 1 << 20,
+        }
+    }
+
     #[test]
-    fn try_paths_serve_ready_work_and_fall_back() {
+    fn serve_reaches_every_manager_call() {
+        let h = host(1);
+        let serve = |body| h.run(h.m.serve(SpanContext::NONE, body));
+        let hello = RequestBody::Hello {
+            tier: PeerTier::Compute,
+        };
+        assert_eq!(serve(hello).unwrap(), ResponseBody::Ok);
+        let create = RequestBody::ActionCreate {
+            node_id: NodeId(1),
+            block_id: BlockId(7),
+            spec: ActionSpec::new("counter", false),
+        };
+        assert_eq!(serve(create).unwrap(), ResponseBody::Ok);
+        assert_eq!(h.m.instance_count(), 1);
+        let open = |dir| match serve(RequestBody::StreamOpen {
+            node_id: NodeId(1),
+            dir,
+        }) {
+            Ok(ResponseBody::StreamOpened { stream_id }) => stream_id,
+            other => panic!("open answered {other:?}"),
+        };
+        let w = open(StreamDir::Write);
+        assert_eq!(serve(chunk(w, 0, b"abc")).unwrap(), ResponseBody::Ok);
+        let (count, data) = batch(&[b"d", b"e"]);
+        let pushed = serve(RequestBody::StreamChunkBatch {
+            stream_id: w,
+            seq: 1,
+            count,
+            data,
+        });
+        assert_eq!(pushed.unwrap(), ResponseBody::Ok);
+        assert_eq!(h.m.queued(w), Some(2), "one entry per request");
+        let close = RequestBody::StreamClose { stream_id: w };
+        assert_eq!(serve(close).unwrap(), ResponseBody::Ok);
+        let r = open(StreamDir::Read);
+        let Ok(ResponseBody::Data {
+            seq: 0,
+            bytes,
+            eof: false,
+        }) = serve(fetch(r))
+        else {
+            panic!("the first fetch takes the count");
+        };
+        assert_eq!(&bytes[..], b"5");
+        // The delete drops the node's open read stream first.
+        let delete = RequestBody::ActionDelete { node_id: NodeId(1) };
+        assert_eq!(serve(delete).unwrap(), ResponseBody::Ok);
+        assert_eq!((h.m.instance_count(), h.m.open_streams()), (0, 0));
+        let write = RequestBody::WriteBlock {
+            block_id: BlockId(1),
+            offset: 0,
+            data: Bytes::new(),
+        };
+        let err = serve(write).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Unsupported);
+        assert!(err.message().contains("write-block"), "{err}");
+    }
+
+    #[test]
+    fn try_serve_answers_ready_stream_requests_and_hands_back_the_rest() {
         let h = host(2);
         h.counter(1);
         let sid = h.open(1, StreamDir::Write);
-        let pushed = h.m.try_push_chunk(sid, 0, Bytes::from_static(b"abc"));
-        assert!(matches!(pushed, Some(Ok(()))));
-        let (count, data) = batch(&[b"de"]);
-        let pushed = h.m.try_push_chunk_batch(sid, 1, count, data);
-        assert!(matches!(pushed, Some(Ok(()))));
-        assert_eq!(h.m.queued(sid), Some(2));
-        h.run(h.m.close_stream(sid)).unwrap();
-        // Unknown streams are settled synchronously.
-        let pushed = h.m.try_push_chunk(StreamId(99), 0, Bytes::new());
-        assert_eq!(code(pushed.unwrap()), ErrorCode::NotFound);
-        assert!(
-            h.m.try_fetch(StreamId(99)).is_none(),
-            "async path reports it"
+        let lifecycle = [
+            RequestBody::ActionCreate {
+                node_id: NodeId(2),
+                block_id: BlockId(2),
+                spec: ActionSpec::new("counter", false),
+            },
+            RequestBody::ActionDelete { node_id: NodeId(1) },
+            RequestBody::StreamOpen {
+                node_id: NodeId(1),
+                dir: StreamDir::Read,
+            },
+            RequestBody::StreamClose { stream_id: sid },
+        ];
+        for body in lifecycle {
+            assert_eq!(h.m.try_serve(body.clone()), Err(body), "handed back");
+        }
+        assert_eq!((h.m.instance_count(), h.m.open_streams()), (1, 1));
+        assert_eq!(
+            h.m.try_serve(chunk(sid, 0, b"abc")),
+            Ok(Ok(ResponseBody::Ok))
         );
-        // The read side serves synchronously once the action has produced.
+        let (count, data) = batch(&[b"de"]);
+        let batch = RequestBody::StreamChunkBatch {
+            stream_id: sid,
+            seq: 1,
+            count,
+            data,
+        };
+        assert_eq!(h.m.try_serve(batch), Ok(Ok(ResponseBody::Ok)));
+        assert_eq!(h.m.queued(sid), Some(2));
+        // Errors are answered on the fast path too.
+        let gone = h.m.try_serve(chunk(StreamId(99), 0, b""));
+        assert_eq!(code(gone.unwrap()), ErrorCode::NotFound);
+        let wrong = h.m.try_serve(fetch(sid));
+        assert_eq!(code(wrong.unwrap()), ErrorCode::WrongNodeKind);
+        h.run(h.m.close_stream(sid)).unwrap();
+        // The read side answers once the action has produced.
         let rid = h.open(1, StreamDir::Read);
-        assert!(h.m.try_fetch(rid).is_none(), "not produced yet");
+        assert_eq!(
+            h.m.try_serve(fetch(rid)),
+            Err(fetch(rid)),
+            "not produced yet"
+        );
         let mut out = Vec::new();
         loop {
-            match h.m.try_fetch(rid) {
-                Some(Ok((_, bytes, eof))) => {
+            match h.m.try_serve(fetch(rid)) {
+                Ok(Ok(ResponseBody::Data { bytes, eof, .. })) => {
                     out.extend_from_slice(&bytes);
                     if eof {
                         break;
                     }
                 }
-                Some(Err(e)) => panic!("unexpected error: {e}"),
-                None => h.settle(),
+                Ok(other) => panic!("unexpected answer: {other:?}"),
+                Err(_) => h.settle(),
             }
         }
         assert_eq!(out, b"5");
@@ -800,22 +922,23 @@ mod tests {
     }
 
     #[test]
-    fn a_full_queue_refuses_a_whole_batch() {
+    fn a_full_queue_hands_back_a_whole_batch() {
         let h = host(1);
         h.counter(1);
         let sid = h.open(1, StreamDir::Write);
-        for seq in 0..INPUT_QUEUE_DEPTH as u64 - 1 {
-            let pushed = h.m.try_push_chunk(sid, seq, Bytes::from_static(b"x"));
-            assert!(matches!(pushed, Some(Ok(()))));
+        for seq in 0..INPUT_QUEUE_DEPTH as u64 {
+            let pushed = h.m.try_serve(chunk(sid, seq, b"x"));
+            assert_eq!(pushed, Ok(Ok(ResponseBody::Ok)));
         }
         let (count, data) = batch(&[b"y", b"z"]);
-        let seq = INPUT_QUEUE_DEPTH as u64 - 1;
-        assert!(h.m.try_push_chunk_batch(sid, seq, count, data).is_none());
-        assert_eq!(
-            h.m.queued(sid),
-            Some(INPUT_QUEUE_DEPTH - 1),
-            "nothing queued"
-        );
+        let batch = RequestBody::StreamChunkBatch {
+            stream_id: sid,
+            seq: INPUT_QUEUE_DEPTH as u64,
+            count,
+            data,
+        };
+        assert_eq!(h.m.try_serve(batch.clone()), Err(batch));
+        assert_eq!(h.m.queued(sid), Some(INPUT_QUEUE_DEPTH), "nothing queued");
     }
 
     #[test]
@@ -834,7 +957,7 @@ mod tests {
         let h = host(1);
         h.counter(1);
         let w = h.open(1, StreamDir::Write);
-        let mut delete = pin!(h.m.delete_action(NodeId(1)));
+        let mut delete = pin!(h.m.delete_action(SpanContext::NONE, NodeId(1)));
         let cx = &mut Context::from_waker(Waker::noop());
         assert!(delete.as_mut().poll(cx).is_pending());
         h.settle();
@@ -845,9 +968,9 @@ mod tests {
         assert_eq!(code(err), ErrorCode::AlreadyExists);
         let err = h.create(2, ActionSpec::new("counter", false));
         assert_eq!(code(err), ErrorCode::OutOfCapacity);
-        let err = h.run(h.m.open_stream(NodeId(1), StreamDir::Read));
+        let err = h.run(h.m.open_stream(SpanContext::NONE, NodeId(1), StreamDir::Read));
         assert_eq!(code(err), ErrorCode::NotFound, "no longer addressable");
-        let err = h.run(h.m.delete_action(NodeId(1)));
+        let err = h.run(h.m.delete_action(SpanContext::NONE, NodeId(1)));
         assert_eq!(code(err), ErrorCode::NotFound, "its delete has begun");
         h.run(h.m.close_stream(w)).unwrap();
         h.run(delete).unwrap();
@@ -861,7 +984,7 @@ mod tests {
         h.counter(1);
         let w = h.open(1, StreamDir::Write);
         {
-            let mut delete = pin!(h.m.delete_action(NodeId(1)));
+            let mut delete = pin!(h.m.delete_action(SpanContext::NONE, NodeId(1)));
             let cx = &mut Context::from_waker(Waker::noop());
             assert!(delete.as_mut().poll(cx).is_pending());
         }

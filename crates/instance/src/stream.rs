@@ -5,8 +5,12 @@
 //! consumes or populates the stream, and bounded channels
 //! ([`mod@crate::channel`]) provide the backpressure that keeps large
 //! transfers memory-bounded.
+//!
+//! A write stream's queue holds one entry per push request: a chunk, or a
+//! whole record batch. So a batch is queued whole or not at all, and its
+//! successor cannot overtake its tail.
 
-use crate::channel::{channel, Receiver, Sender, TrySendError};
+use crate::channel::{channel, Receiver, Sender};
 use bytes::{Bytes, BytesMut};
 use glider_proto::batch::unpack_records;
 use glider_proto::{GliderError, GliderResult};
@@ -23,7 +27,7 @@ pub const OUTPUT_CHUNK_SIZE: usize = 64 * 1024;
 /// sequence number so the method always observes the client's byte order.
 #[derive(Debug)]
 pub struct ActionInputStream {
-    rx: Receiver<(u64, Bytes)>,
+    rx: Receiver<(u64, Entry)>,
     pending: BTreeMap<u64, Bytes>,
     next_seq: u64,
     bytes_received: u64,
@@ -34,20 +38,19 @@ pub struct ActionInputStream {
 /// [`ActionInputStream`]. Dropping every pusher signals end-of-stream.
 #[derive(Debug, Clone)]
 pub struct InputPusher {
-    tx: Sender<(u64, Bytes)>,
+    tx: Sender<(u64, Entry)>,
 }
 
-/// Outcome of a non-blocking push attempt on an [`InputPusher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryPush {
-    /// The data was enqueued without waiting.
-    Pushed,
-    /// The stream's queue is full; retry on the (waiting) async path.
-    Full,
+/// One push request as it waits in the queue, under its first seq.
+#[derive(Debug)]
+enum Entry {
+    Chunk(Bytes),
+    /// A batch's records, at consecutive seqs.
+    Batch(Vec<Bytes>),
 }
 
 impl ActionInputStream {
-    /// Creates a stream with an internal queue of `capacity` chunks.
+    /// Creates a stream with an internal queue of `capacity` entries.
     pub fn new(capacity: usize) -> (Self, InputPusher) {
         let (tx, rx) = channel(capacity);
         (
@@ -88,9 +91,10 @@ impl ActionInputStream {
                 return Ok(Some(chunk));
             }
             match self.rx.recv().await {
-                Some((seq, data)) => {
+                Some((seq, Entry::Chunk(data))) => {
                     self.pending.insert(seq, data);
                 }
+                Some((seq, Entry::Batch(records))) => self.pending.extend((seq..).zip(records)),
                 None => self.done = true,
             }
         }
@@ -116,6 +120,7 @@ impl ActionInputStream {
 }
 
 impl InputPusher {
+    // glider: hot-path (action stream push: one queue entry per request)
     /// Enqueues one chunk, waiting when the stream's queue is full.
     ///
     /// # Errors
@@ -123,26 +128,14 @@ impl InputPusher {
     /// Returns [`glider_proto::ErrorCode::Closed`] when the consuming
     /// method has finished (its stream was dropped).
     pub async fn push(&self, seq: u64, data: Bytes) -> GliderResult<()> {
-        self.tx
-            .send((seq, data))
-            .await
-            .map_err(|_| GliderError::closed("action input stream"))
-    }
-
-    /// Enqueues one chunk without waiting, for the connection loop's sync
-    /// fast path (which must never block the read loop).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`glider_proto::ErrorCode::Closed`] when the consuming
-    /// method has finished (its stream was dropped).
-    pub fn try_push(&self, seq: u64, data: Bytes) -> GliderResult<TryPush> {
-        try_push(self.tx.try_send((seq, data)))
+        self.send(seq, Entry::Chunk(data)).await
     }
 
     /// Enqueues a record batch: `count` length-prefixed records packed in
     /// `data` (see [`glider_proto::batch`]), occupying sequence numbers
-    /// `seq .. seq + count`. Each record is a zero-copy slice of `data`.
+    /// `seq .. seq + count`. Each record is a zero-copy slice of `data`,
+    /// and the batch is one queue entry: it waits whole, or is queued
+    /// whole.
     ///
     /// # Errors
     ///
@@ -150,28 +143,21 @@ impl InputPusher {
     /// - [`glider_proto::ErrorCode::Closed`] when the consuming method has
     ///   finished.
     pub async fn push_batch(&self, seq: u64, count: u32, data: Bytes) -> GliderResult<()> {
+        // One `Vec` of record slices per batch request, not per record,
+        // built by `unpack_records`.
         let records = unpack_records(count, data)?;
-        for (i, record) in records.into_iter().enumerate() {
-            self.push(seq + i as u64, record).await?;
-        }
-        Ok(())
+        self.send(seq, Entry::Batch(records)).await
     }
 
-    /// Non-blocking [`InputPusher::push_batch`]: all-or-nothing, so a
-    /// partially full queue falls back to the async path rather than
-    /// splitting the batch across fast and slow paths (which would let a
-    /// later batch overtake this one's tail).
-    ///
-    /// # Errors
-    ///
-    /// See [`InputPusher::push_batch`].
-    pub fn try_push_batch(&self, seq: u64, count: u32, data: Bytes) -> GliderResult<TryPush> {
-        let records = unpack_records(count, data)?;
-        let chunks = (seq..).zip(records).collect();
-        try_push(self.tx.try_send_all(chunks))
+    async fn send(&self, seq: u64, entry: Entry) -> GliderResult<()> {
+        self.tx
+            .send((seq, entry))
+            .await
+            .map_err(|_| GliderError::closed("action input stream"))
     }
+    // glider: end-hot-path
 
-    /// Chunks queued and not yet taken by the method.
+    /// Push requests queued and not yet taken by the method.
     pub fn queued(&self) -> usize {
         self.tx.len()
     }
@@ -179,14 +165,6 @@ impl InputPusher {
     /// Signals end-of-stream by consuming this pusher.
     pub fn finish(self) {
         // Dropping the last sender closes the channel.
-    }
-}
-
-fn try_push<T>(sent: Result<(), TrySendError<T>>) -> GliderResult<TryPush> {
-    match sent {
-        Ok(()) => Ok(TryPush::Pushed),
-        Err(TrySendError::Full(_)) => Ok(TryPush::Full),
-        Err(TrySendError::Closed(_)) => Err(GliderError::closed("action input stream")),
     }
 }
 
@@ -288,7 +266,7 @@ impl ActionOutputStream {
 ///
 /// ```
 /// use bytes::Bytes;
-/// use glider_instance::stream::{ActionInputStream, LineReader, TryPush};
+/// use glider_instance::stream::{ActionInputStream, LineReader};
 /// # use std::future::Future;
 /// # use std::task::{Context, Poll, Waker};
 /// # // Every chunk is queued before the read, so no poll waits.
@@ -300,8 +278,8 @@ impl ActionOutputStream {
 /// # }
 ///
 /// let (mut input, pusher) = ActionInputStream::new(4);
-/// assert_eq!(pusher.try_push(0, Bytes::from_static(b"one\ntw")).unwrap(), TryPush::Pushed);
-/// assert_eq!(pusher.try_push(1, Bytes::from_static(b"o\nthree")).unwrap(), TryPush::Pushed);
+/// ready(pusher.push(0, Bytes::from_static(b"one\ntw"))).unwrap();
+/// ready(pusher.push(1, Bytes::from_static(b"o\nthree"))).unwrap();
 /// pusher.finish();
 ///
 /// let mut lines = LineReader::new(&mut input);
@@ -445,22 +423,6 @@ mod tests {
         assert_eq!(err.code(), ErrorCode::Closed);
     }
 
-    #[test]
-    fn try_push_reports_full_and_closed() {
-        let (input, pusher) = ActionInputStream::new(1);
-        assert_eq!(
-            pusher.try_push(0, Bytes::from_static(b"a")).unwrap(),
-            TryPush::Pushed
-        );
-        assert_eq!(
-            pusher.try_push(1, Bytes::from_static(b"b")).unwrap(),
-            TryPush::Full
-        );
-        drop(input);
-        let err = pusher.try_push(1, Bytes::from_static(b"b")).unwrap_err();
-        assert_eq!(err.code(), ErrorCode::Closed);
-    }
-
     fn batch(records: &[&[u8]]) -> (u32, Bytes) {
         let mut b = glider_proto::batch::RecordBatchBuilder::new();
         for r in records {
@@ -493,27 +455,32 @@ mod tests {
     }
 
     #[test]
-    fn try_push_batch_is_all_or_nothing() {
+    fn a_batch_is_one_queue_entry() {
         let (mut input, pusher) = ActionInputStream::new(2);
         ready(pusher.push(0, Bytes::from_static(b"x"))).unwrap();
-        // Two records, one free slot: nothing may be enqueued.
-        let (count, data) = batch(&[b"y", b"z"]);
-        assert_eq!(
-            pusher.try_push_batch(1, count, data.clone()).unwrap(),
-            TryPush::Full
-        );
-        assert_eq!(&ready(input.next_chunk()).unwrap().unwrap()[..], b"x");
-        // The failed attempt must not have left a record behind.
-        assert_eq!(
-            pusher.try_push_batch(1, count, data).unwrap(),
-            TryPush::Pushed
-        );
+        // Three records, one free entry: the batch is queued whole.
+        let (count, data) = batch(&[b"y", b"z", b"w"]);
+        ready(pusher.push_batch(1, count, data)).unwrap();
+        assert_eq!(pusher.queued(), 2);
+        // The queue is full: the next batch waits whole, and its first
+        // poll leaves nothing behind.
+        {
+            let (count, data) = batch(&[b"v"]);
+            let mut cx = Context::from_waker(Waker::noop());
+            let mut waiting = std::pin::pin!(pusher.push_batch(4, count, data));
+            assert!(waiting.as_mut().poll(&mut cx).is_pending());
+            assert_eq!(pusher.queued(), 2);
+            assert_eq!(&ready(input.next_chunk()).unwrap().unwrap()[..], b"x");
+            assert!(matches!(
+                waiting.as_mut().poll(&mut cx),
+                Poll::Ready(Ok(()))
+            ));
+        }
         pusher.finish();
-        assert_eq!(ready(input.read_all()).unwrap(), b"yz");
+        assert_eq!(ready(input.read_all()).unwrap(), b"yzwv");
+        assert_eq!(input.bytes_received(), 5);
         let (count, data) = batch(&[b"late"]);
-        let err = pusher_of_closed()
-            .try_push_batch(0, count, data)
-            .unwrap_err();
+        let err = ready(pusher_of_closed().push_batch(0, count, data)).unwrap_err();
         assert_eq!(err.code(), ErrorCode::Closed);
     }
 
@@ -527,10 +494,9 @@ mod tests {
     fn push_batch_rejects_malformed_data() {
         let (_input, pusher) = ActionInputStream::new(4);
         let malformed = Bytes::from_static(b"\x05\x00\x00\x00ab");
-        let err = ready(pusher.push_batch(0, 2, malformed.clone())).unwrap_err();
+        let err = ready(pusher.push_batch(0, 2, malformed)).unwrap_err();
         assert_eq!(err.code(), ErrorCode::Protocol);
-        let err = pusher.try_push_batch(0, 2, malformed).unwrap_err();
-        assert_eq!(err.code(), ErrorCode::Protocol);
+        assert_eq!(pusher.queued(), 0);
     }
 
     #[test]

@@ -44,8 +44,7 @@ mod lcg;
 use bytes::Bytes;
 use glider_instance::{
     reply, Action, ActionContext, ActionInputStream, ActionOutputStream, BoxFuture, Enqueued,
-    InputPusher, Instance, InstanceHandle, Invocation, Receiver, TryPush, TryRecvError,
-    TrySendError,
+    InputPusher, Instance, InstanceHandle, Invocation, Receiver, TryRecvError, TrySendError,
 };
 use glider_metrics::{MetricsRegistry, Signal};
 use glider_proto::types::NodeId;
@@ -691,10 +690,12 @@ impl History {
             return;
         }
         let i = left[chosen % left.len()];
-        match p.try_push(i as u64, Bytes::from(chunks[i].clone())) {
-            Ok(TryPush::Pushed) => pushed[i] = true,
-            Ok(TryPush::Full) => {}
-            Err(e) => {
+        let first_poll = std::pin::pin!(p.push(i as u64, Bytes::from(chunks[i].clone())))
+            .poll(&mut Context::from_waker(Waker::noop()));
+        match first_poll {
+            Poll::Ready(Ok(())) => pushed[i] = true,
+            Poll::Pending => {}
+            Poll::Ready(Err(e)) => {
                 assert_eq!(e.code(), ErrorCode::Closed);
                 // The method has ended; its reply is already sent.
                 *pusher = None;

@@ -13,11 +13,11 @@
 //! filter or cache; serial or interleaved; now and then an unknown type
 //! or bad params) and delete, including a delete whose caller drops it
 //! midway; opening write and read streams; `push_chunk`,
-//! `push_chunk_batch`, `try_push_chunk` and `try_push_chunk_batch`
-//! (some batches malformed), in any seq order, with writers cutting
-//! chunks mid-line and mid-record; `fetch` and `try_fetch`, with up to
-//! two fetchers waiting on one read stream; `close_stream`, and
-//! `abort_streams_of`. Checked at every step:
+//! `push_chunk_batch`, and chunks and batches through the fast path,
+//! `try_serve` (some batches malformed), in any seq order, with writers
+//! cutting chunks mid-line and mid-record; `fetch` and fetches through
+//! `try_serve`, with up to two fetchers waiting on one read stream;
+//! `close_stream`, and `abort_streams_of`. Checked at every step:
 //!
 //! - no node ever has two instances that have not stopped, and at most
 //!   `slots` instances have not stopped;
@@ -28,8 +28,10 @@
 //!   code (a stranded method — queued behind a delete — answers `Closed`);
 //! - per read stream, seqs are dense from 0, each chunk arrives once, and
 //!   the end-of-stream seq equals the chunk count;
-//! - a batch is all-or-nothing: the stream's queue grows by the whole
-//!   batch or not at all, so its successor cannot overtake its tail;
+//! - a push is one queue entry: a fast push grows the stream's queue by
+//!   exactly one entry, or leaves it unchanged and is handed back, so a
+//!   batch is queued whole, its successor cannot overtake its tail, and
+//!   no record is lost or delivered twice;
 //! - read outputs equal their oracles: the counter's byte total; merge's
 //!   `str::parse` + `HashMap` fold over closed streams; the sorter's
 //!   stable sort of whole records; filter's lines that contain the
@@ -55,8 +57,10 @@ use bytes::Bytes;
 use glider_instance::{ActionManager, ActionRegistry, Instance, MemStore, Spawn};
 use glider_metrics::{MetricsRegistry, Signal};
 use glider_proto::batch::RecordBatchBuilder;
+use glider_proto::message::{RequestBody, ResponseBody};
 use glider_proto::types::{ActionSpec, NodeId, StreamDir, StreamId};
 use glider_proto::{ErrorCode, GliderResult};
+use glider_trace::SpanContext;
 use lcg::Lcg;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::future::Future;
@@ -71,7 +75,7 @@ const STEPS: usize = 3000;
 /// Nodes the history addresses.
 const NODES: u64 = 4;
 
-/// The manager's write-stream queue depth, in chunks.
+/// The manager's write-stream queue depth, in push requests.
 const INPUT_QUEUE: usize = 64;
 
 /// Files the filter reads: two present, one missing, one failing.
@@ -298,6 +302,29 @@ struct History {
 
 fn code<T>(result: &GliderResult<T>) -> Option<ErrorCode> {
     result.as_ref().err().map(|e| e.code())
+}
+
+fn fetch_body(stream_id: StreamId) -> RequestBody {
+    RequestBody::StreamFetch {
+        stream_id,
+        max_len: 1 << 20,
+    }
+}
+
+fn chunk_body(stream_id: StreamId) -> RequestBody {
+    RequestBody::StreamChunk {
+        stream_id,
+        seq: 0,
+        data: Bytes::from_static(b"x"),
+    }
+}
+
+/// A fetch's answer as `fetch` gives it.
+fn fetched(answer: GliderResult<ResponseBody>) -> Fetched {
+    answer.map(|body| match body {
+        ResponseBody::Data { seq, bytes, eof } => (seq, bytes, eof),
+        other => panic!("a fetch answered {other:?}"),
+    })
 }
 
 impl History {
@@ -805,7 +832,9 @@ impl History {
         };
         let m = Arc::clone(&self.m);
         let mut future: Pin<Box<dyn Future<Output = Out>>> =
-            Box::pin(async move { Out::Unit(m.delete_action(NodeId(node)).await) });
+            Box::pin(
+                async move { Out::Unit(m.delete_action(SpanContext::NONE, NodeId(node)).await) },
+            );
         if cancel && gen.is_some() {
             // The caller goes away after the first poll queued the
             // delete; the instance still stops and frees the slot.
@@ -836,7 +865,8 @@ impl History {
             }
         }
         let m = Arc::clone(&self.m);
-        let mut future = Box::pin(async move { m.open_stream(NodeId(node), dir).await });
+        let mut future =
+            Box::pin(async move { m.open_stream(SpanContext::NONE, NodeId(node), dir).await });
         let wake = Waking::new(&self.fired);
         let Poll::Ready(result) = wake.poll(|cx| future.as_mut().poll(cx)) else {
             panic!("{}: an open waited", self.at());
@@ -876,6 +906,12 @@ impl History {
         self.streams.push(stream);
         let index = self.streams.len() - 1;
         self.gens[g].units.push(index);
+        // Now and then two fetchers at once, before the method has run,
+        // so both wait on the stream.
+        if dir == StreamDir::Read && self.chance(20) {
+            self.fetch_on(index);
+            self.fetch_on(index);
+        }
     }
 
     /// A write's payload for `kind`, cut into pieces of 1..=7 bytes.
@@ -957,13 +993,31 @@ impl History {
             .collect()
     }
 
-    /// A burst of pushes on one write stream.
+    /// A burst of pushes on one write stream; now and then one longer
+    /// than the queue, on the stream with the most unsent pieces, which
+    /// fills it (a push is one entry).
     fn push(&mut self) {
         let open = self.writes(|w| w.entry && w.state.contains(&Piece::Free));
-        let Some(stream) = self.pick(&open) else {
+        let long = self.chance(10);
+        let stream = if long {
+            open.iter()
+                .copied()
+                .max_by_key(|&i| match &self.streams[i] {
+                    Stream::Write(w) => w.state.iter().filter(|&&p| p == Piece::Free).count(),
+                    Stream::Read(_) => 0,
+                })
+        } else {
+            self.pick(&open)
+        };
+        let Some(stream) = stream else {
             return;
         };
-        for _ in 0..1 + self.below(24) {
+        let burst = if long {
+            INPUT_QUEUE + 24
+        } else {
+            1 + self.below(24)
+        };
+        for _ in 0..burst {
             match &self.streams[stream] {
                 Stream::Write(w) if w.entry && w.state.contains(&Piece::Free) => {
                     self.push_on(stream);
@@ -1010,12 +1064,22 @@ impl History {
         let stopped_closed = self.closed_under(stream);
         let at = self.at();
         if batch.is_multiple_of(2) {
-            // The fast path: settled now, or refused whole.
-            let answer = if batch >= 2 {
-                self.m.try_push_chunk_batch(sid, seq, count, data)
+            // The fast path: settled now, or handed back with no effect.
+            let body = if batch >= 2 {
+                RequestBody::StreamChunkBatch {
+                    stream_id: sid,
+                    seq,
+                    count,
+                    data,
+                }
             } else {
-                self.m.try_push_chunk(sid, seq, single)
+                RequestBody::StreamChunk {
+                    stream_id: sid,
+                    seq,
+                    data: single,
+                }
             };
+            let answer = self.m.try_serve(body);
             let after = self.m.queued(sid).unwrap_or(0);
             let want = if malformed {
                 Some(ErrorCode::Protocol)
@@ -1023,9 +1087,9 @@ impl History {
                 stopped_closed
             };
             match answer {
-                None => {
+                Err(_) => {
                     assert!(
-                        want.is_none() && before + pieces.len() > INPUT_QUEUE,
+                        want.is_none() && before + 1 > INPUT_QUEUE,
                         "{at}: {sid} refused at depth {before}"
                     );
                     assert_eq!(
@@ -1034,13 +1098,13 @@ impl History {
                     );
                     self.refused_batches += usize::from(pieces.len() > 1);
                 }
-                Some(result) => {
+                Ok(result) => {
                     assert_eq!(code(&result), want, "{at}: fast push on {sid}: {result:?}");
                     if result.is_ok() {
                         assert_eq!(
                             after,
-                            before + pieces.len(),
-                            "{at}: a batch on {sid} queued in part"
+                            before + 1,
+                            "{at}: a push on {sid} queued other than one entry"
                         );
                         let Stream::Write(w) = &mut self.streams[stream] else {
                             unreachable!()
@@ -1096,10 +1160,10 @@ impl History {
                 Some(ErrorCode::NotFound)
             };
             if want.is_some() {
-                let answer = self.m.try_push_chunk(sid, 0, Bytes::from_static(b"x"));
+                let answer = self.m.try_serve(chunk_body(sid));
                 assert_eq!(
                     answer.map(|r| code(&r)),
-                    Some(want),
+                    Ok(want),
                     "{at}: push on gone {sid}"
                 );
             }
@@ -1123,15 +1187,17 @@ impl History {
             } else {
                 ErrorCode::NotFound
             };
-            let answer = self.m.try_push_chunk(sid, 0, Bytes::from_static(b"x"));
+            let answer = self.m.try_serve(chunk_body(sid));
             assert_eq!(
                 answer.map(|r| code(&r)),
-                Some(Some(want)),
+                Ok(Some(want)),
                 "{at}: push on read {sid}"
             );
             if !entry {
-                assert!(
-                    self.m.try_fetch(sid).is_none(),
+                let answer = self.m.try_serve(fetch_body(sid));
+                assert_eq!(
+                    answer.map(|r| code(&r)),
+                    Ok(Some(ErrorCode::NotFound)),
                     "{at}: fast fetch on gone {sid}"
                 );
             }
@@ -1148,11 +1214,20 @@ impl History {
         };
         let sid = r.sid;
         if fast {
-            if let Some(result) = self.m.try_fetch(sid) {
-                self.fetched(stream, result);
+            if let Ok(answer) = self.m.try_serve(fetch_body(sid)) {
+                self.fetched(stream, fetched(answer));
             }
             return;
         }
+        self.fetch_on(stream);
+    }
+
+    /// An async fetch on read `stream`.
+    fn fetch_on(&mut self, stream: usize) {
+        let Stream::Read(r) = &mut self.streams[stream] else {
+            unreachable!()
+        };
+        let sid = r.sid;
         r.fetchers += 1;
         if r.fetchers == 2 {
             self.shared_fetches += 1;
@@ -1324,8 +1399,9 @@ impl History {
                     let g = self.addressable(node).unwrap();
                     self.gens[g].delete_at = Some(self.gens[g].units.len());
                     let m = Arc::clone(&self.m);
-                    let future =
-                        Box::pin(async move { Out::Unit(m.delete_action(NodeId(node)).await) });
+                    let future = Box::pin(async move {
+                        Out::Unit(m.delete_action(SpanContext::NONE, NodeId(node)).await)
+                    });
                     self.issue(What::Delete { expect: None }, future);
                 }
             }

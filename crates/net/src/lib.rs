@@ -24,12 +24,14 @@
 pub mod conn;
 pub mod fault;
 pub mod pool;
-pub mod retry;
 pub mod rpc;
 pub mod stats;
 
 pub use conn::{bind, connect, BoundListener, FrameRx, FrameTx, TaggedFrame};
 pub use fault::{clear_faults, inject_faults, FaultConfig};
+/// Deadlines, retry budgets and jittered backoff, beside the session in
+/// `glider-proto`.
+pub use glider_proto::retry;
 pub use pool::BytesPool;
 pub use retry::{JitterRng, RetryPolicy};
 pub use rpc::{serve, ConnCtx, RpcClient, RpcHandler, RpcStream, ServerHandle};

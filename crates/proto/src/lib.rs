@@ -12,7 +12,8 @@
 //!   latency and WAL class,
 //! - length-prefixed framing with out-of-band bulk payloads ([`frame`]),
 //! - the connection protocol as plain data — request ids, credit windows,
-//!   the handshake and write batching ([`session`]) — and
+//!   the handshake and write batching ([`session`]) — and the retry
+//!   decision: deadlines, the budget and jittered backoff ([`retry`]),
 //! - the workspace-wide error type ([`error::GliderError`]).
 //!
 //! The codec is deliberately dependency-free (no serde): the protocol is an
@@ -50,7 +51,17 @@ pub mod error;
 pub mod frame;
 pub mod message;
 pub mod op;
-// Runs on every connection of both planes: errors, never aborts.
+// Both run on every connection of both planes: errors, never abort.
+#[cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+pub mod retry;
 #[cfg_attr(
     not(test),
     deny(

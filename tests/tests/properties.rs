@@ -476,6 +476,7 @@ proptest! {
     ) {
         use glider_core::actions::{spawner, ActionManager, ActionRegistry};
         use glider_core::proto::types::{NodeId as NId, StreamDir as SDir};
+        use glider_trace::SpanContext;
         use std::sync::Arc as StdArc;
 
         let rt = tokio::runtime::Builder::new_current_thread()
@@ -491,7 +492,10 @@ proptest! {
             .await
             .unwrap();
             let payload: Vec<u8> = records.concat();
-            let sid = m.open_stream(NId(1), SDir::Write).await.unwrap();
+            let sid = m
+                .open_stream(SpanContext::NONE, NId(1), SDir::Write)
+                .await
+                .unwrap();
             for (i, chunk) in payload.chunks(chunking).enumerate() {
                 m.push_chunk(sid, i as u64, Bytes::copy_from_slice(chunk))
                     .await
@@ -499,7 +503,10 @@ proptest! {
             }
             m.close_stream(sid).await.unwrap();
 
-            let rid = m.open_stream(NId(1), SDir::Read).await.unwrap();
+            let rid = m
+                .open_stream(SpanContext::NONE, NId(1), SDir::Read)
+                .await
+                .unwrap();
             let mut got = Vec::new();
             loop {
                 let (_seq, bytes, eof) = m.fetch(rid, 1 << 20).await.unwrap();

@@ -26,9 +26,10 @@ use crate::workspace::{SourceFile, Workspace};
 use crate::{Counters, Finding};
 
 /// Crates whose sources are scanned for hot-path regions.
-const SCOPE: [&str; 8] = [
+const SCOPE: [&str; 9] = [
     "crates/analytics/src",
     "crates/blockstore/src",
+    "crates/instance/src",
     "crates/metrics/src",
     "crates/net/src",
     "crates/storage/src",
