@@ -332,25 +332,13 @@ impl<T> Future for Recv<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::task::Wake;
+    use glider_sim::{TaskWaker, Wakes};
 
-    /// Counts its wakes.
-    struct Counter(AtomicUsize);
-
-    impl Wake for Counter {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    fn counter() -> (Arc<Counter>, Waker) {
-        let counter = Arc::new(Counter(AtomicUsize::new(0)));
-        (Arc::clone(&counter), Waker::from(counter))
-    }
-
-    fn wakes(counter: &Counter) -> usize {
-        counter.0.load(Ordering::SeqCst)
+    /// A task's waker and the count of its wakes.
+    fn counter() -> (Wakes, TaskWaker) {
+        let wakes = Wakes::default();
+        let task = wakes.task();
+        (wakes, task)
     }
 
     #[test]
@@ -384,13 +372,13 @@ mod tests {
         let (tx, mut rx) = channel(1);
         tx.try_send(1).unwrap();
         let (count, waker) = counter();
-        let mut cx = Context::from_waker(&waker);
+        let mut cx = Context::from_waker(waker.waker());
         let mut send = tx.send(2);
         assert!(Pin::new(&mut send).poll(&mut cx).is_pending());
         assert!(Pin::new(&mut send).poll(&mut cx).is_pending());
-        assert_eq!(wakes(&count), 0);
+        assert_eq!(count.count(), 0);
         assert_eq!(rx.try_recv(), Ok(1));
-        assert_eq!(wakes(&count), 1, "one parked waker, woken once");
+        assert_eq!(count.count(), 1, "one parked waker, woken once");
         assert_eq!(Pin::new(&mut send).poll(&mut cx), Poll::Ready(Ok(())));
         assert_eq!(rx.try_recv(), Ok(2));
     }
@@ -400,11 +388,11 @@ mod tests {
         let (tx, mut rx) = channel(1);
         tx.try_send(1).unwrap();
         let (count, waker) = counter();
-        let mut cx = Context::from_waker(&waker);
+        let mut cx = Context::from_waker(waker.waker());
         let mut send = tx.send(2);
         assert!(Pin::new(&mut send).poll(&mut cx).is_pending());
         assert_eq!(rx.close(), vec![1]);
-        assert_eq!(wakes(&count), 1);
+        assert_eq!(count.count(), 1);
         assert_eq!(Pin::new(&mut send).poll(&mut cx), Poll::Ready(Err(2)));
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
@@ -413,17 +401,17 @@ mod tests {
     fn a_parked_receiver_is_woken_by_a_send_and_by_the_last_drop() {
         let (tx, mut rx) = channel::<u8>(2);
         let (count, waker) = counter();
-        let mut cx = Context::from_waker(&waker);
+        let mut cx = Context::from_waker(waker.waker());
         assert!(rx.poll_recv(&mut cx).is_pending());
         tx.try_send(7).unwrap();
-        assert_eq!(wakes(&count), 1);
+        assert_eq!(count.count(), 1);
         assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Some(7)));
         assert!(rx.poll_recv(&mut cx).is_pending());
         let tx2 = tx.clone();
         drop(tx);
-        assert_eq!(wakes(&count), 1, "a sender remains");
+        assert_eq!(count.count(), 1, "a sender remains");
         drop(tx2);
-        assert_eq!(wakes(&count), 2);
+        assert_eq!(count.count(), 2);
         assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(None));
     }
 
@@ -433,20 +421,20 @@ mod tests {
         let (first, first_waker) = counter();
         let (second, second_waker) = counter();
         assert!(rx
-            .poll_recv(&mut Context::from_waker(&first_waker))
+            .poll_recv(&mut Context::from_waker(first_waker.waker()))
             .is_pending());
         assert!(rx
-            .poll_recv(&mut Context::from_waker(&second_waker))
+            .poll_recv(&mut Context::from_waker(second_waker.waker()))
             .is_pending());
         tx.try_send(1).unwrap();
-        assert_eq!((wakes(&first), wakes(&second)), (1, 1));
+        assert_eq!((first.count(), second.count()), (1, 1));
         assert_eq!(rx.try_recv(), Ok(1));
         assert!(rx
-            .poll_recv(&mut Context::from_waker(&first_waker))
+            .poll_recv(&mut Context::from_waker(first_waker.waker()))
             .is_pending());
         assert!(!tx.is_closed());
         drop(tx);
-        assert_eq!((wakes(&first), wakes(&second)), (2, 1));
+        assert_eq!((first.count(), second.count()), (2, 1));
     }
 
     #[test]

@@ -547,9 +547,8 @@ impl std::fmt::Debug for ActionManager {
 mod tests {
     use super::*;
     use glider_proto::types::{BlockId, PeerTier};
+    use glider_sim::Wakes;
     use std::pin::Pin;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::task::Wake;
 
     /// A manager whose instances one thread polls between the polls of
     /// the call it runs.
@@ -999,15 +998,6 @@ mod tests {
         h.counter(1);
     }
 
-    /// Counts its wakes.
-    struct Count(AtomicUsize);
-
-    impl Wake for Count {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
     #[test]
     fn every_fetcher_waiting_on_a_read_stream_is_woken() {
         let h = host(1);
@@ -1015,11 +1005,11 @@ mod tests {
         // Serial: the read queues behind the open write.
         let w = h.open(1, StreamDir::Write);
         let r = h.open(1, StreamDir::Read);
-        let counts = [(); 2].map(|()| Arc::new(Count(AtomicUsize::new(0))));
-        let wakers = counts.each_ref().map(|c| Waker::from(Arc::clone(c)));
+        let counts = [(); 2].map(|()| Wakes::default());
+        let tasks = counts.each_ref().map(Wakes::task);
         let mut first = pin!(h.m.fetch(r, 1 << 20));
         let mut second = pin!(h.m.fetch(r, 1 << 20));
-        let [a, b] = &wakers;
+        let [a, b] = tasks.each_ref().map(|t| t.waker());
         assert!(first
             .as_mut()
             .poll(&mut Context::from_waker(a))
@@ -1030,7 +1020,7 @@ mod tests {
             .is_pending());
         h.run(h.m.close_stream(w)).unwrap();
         h.settle();
-        let woken = counts.each_ref().map(|c| c.0.load(Ordering::SeqCst));
+        let woken = counts.each_ref().map(Wakes::count);
         assert!(woken.iter().all(|&n| n > 0), "wakes: {woken:?}");
         let cx = &mut Context::from_waker(a);
         let Poll::Ready(Ok((0, chunk, false))) = first.as_mut().poll(cx) else {

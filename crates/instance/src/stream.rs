@@ -70,8 +70,11 @@ impl ActionInputStream {
     ///
     /// # Errors
     ///
-    /// Currently infallible; the `Result` keeps the signature stable for
-    /// transport-level failures.
+    /// [`glider_proto::ErrorCode::Protocol`] when a pushed chunk reuses a
+    /// seq: one already delivered, or one already waiting (a batch's
+    /// records count one seq each). Pushes are never retried, so only a
+    /// faulty client sends one, and delivering it would break the
+    /// client's byte order.
     pub async fn next_chunk(&mut self) -> GliderResult<Option<Bytes>> {
         loop {
             if let Some(chunk) = self.pending.remove(&self.next_seq) {
@@ -91,13 +94,28 @@ impl ActionInputStream {
                 return Ok(Some(chunk));
             }
             match self.rx.recv().await {
-                Some((seq, Entry::Chunk(data))) => {
-                    self.pending.insert(seq, data);
+                Some((seq, Entry::Chunk(data))) => self.file(seq, data)?,
+                Some((seq, Entry::Batch(records))) => {
+                    for (seq, record) in (seq..).zip(records) {
+                        self.file(seq, record)?;
+                    }
                 }
-                Some((seq, Entry::Batch(records))) => self.pending.extend((seq..).zip(records)),
                 None => self.done = true,
             }
         }
+    }
+
+    /// Files chunk `seq` until its turn comes, refusing a seq that was
+    /// delivered or is waiting already.
+    fn file(&mut self, seq: u64, chunk: Bytes) -> GliderResult<()> {
+        if seq < self.next_seq || self.pending.contains_key(&seq) {
+            return Err(GliderError::protocol(format!(
+                "input stream chunk {seq} reuses a seq (next to deliver: {})",
+                self.next_seq
+            )));
+        }
+        self.pending.insert(seq, chunk);
+        Ok(())
     }
 
     /// Reads the entire stream into one buffer (small transfers only).
@@ -397,6 +415,40 @@ mod tests {
         pusher.finish();
         assert_eq!(ready(input.read_all()).unwrap(), b"acde");
         assert_eq!(input.bytes_received(), 4);
+    }
+
+    #[test]
+    fn a_stale_or_duplicate_seq_is_refused_not_delivered() {
+        let push = |pusher: &InputPusher, seq, chunk: &'static [u8]| {
+            ready(pusher.push(seq, Bytes::from_static(chunk))).unwrap();
+        };
+        // Seq 0 again after it was delivered.
+        let (mut input, pusher) = ActionInputStream::new(8);
+        push(&pusher, 0, b"a");
+        assert_eq!(&ready(input.next_chunk()).unwrap().unwrap()[..], b"a");
+        for (seq, chunk) in [(0, b"X"), (1, b"b"), (2, b"c"), (2, b"Y")] {
+            push(&pusher, seq, chunk);
+        }
+        pusher.finish();
+        let err = ready(input.read_all()).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Protocol, "{err}");
+        // Seq 2 twice while it waits behind seq 1.
+        let (mut input, pusher) = ActionInputStream::new(8);
+        for (seq, chunk) in [(0, b"a"), (2, b"c"), (2, b"Y"), (1, b"b")] {
+            push(&pusher, seq, chunk);
+        }
+        pusher.finish();
+        assert_eq!(&ready(input.next_chunk()).unwrap().unwrap()[..], b"a");
+        let err = ready(input.next_chunk()).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Protocol, "{err}");
+        // A batch whose last record repeats a waiting seq.
+        let (mut input, pusher) = ActionInputStream::new(8);
+        push(&pusher, 2, b"c");
+        let (count, data) = batch(&[b"a", b"b", b"c"]);
+        ready(pusher.push_batch(0, count, data)).unwrap();
+        pusher.finish();
+        let err = ready(input.read_all()).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Protocol, "{err}");
     }
 
     #[test]

@@ -35,12 +35,6 @@
 //! Run one history with `GLIDER_REPLAY_SEED=<n> cargo test -p
 //! glider-instance --test instance`; a failure names its seed and step.
 
-// Shared with glider-wal's property tests; `frac` and `byte` are unused
-// here.
-#[allow(dead_code)]
-#[path = "../../wal/tests/common/lcg.rs"]
-mod lcg;
-
 use bytes::Bytes;
 use glider_instance::{
     reply, Action, ActionContext, ActionInputStream, ActionOutputStream, BoxFuture, Enqueued,
@@ -49,14 +43,13 @@ use glider_instance::{
 use glider_metrics::{MetricsRegistry, Signal};
 use glider_proto::types::NodeId;
 use glider_proto::{ErrorCode, GliderError, GliderResult};
-use lcg::Lcg;
+use glider_sim::{seeds, Lcg, TaskWaker, Wakes};
 use std::collections::BTreeSet;
 use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 
 /// Steps one history takes.
 const STEPS: usize = 3000;
@@ -373,23 +366,13 @@ struct Inv {
     refused: bool,
 }
 
-/// The instance's waker: records that it fired.
-#[derive(Default)]
-struct Woken(AtomicBool);
-
-impl Wake for Woken {
-    fn wake(self: Arc<Self>) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-}
-
 /// One instance, from creation until it stops and everything is run out.
 struct Lifetime {
     probe: Arc<Probe>,
     metrics: Arc<MetricsRegistry>,
     instance: Instance,
-    /// Set by the instance's waker; a new instance starts woken.
-    woken: Arc<Woken>,
+    /// The instance's waker; a new instance starts woken.
+    waker: TaskWaker,
     handle: Option<InstanceHandle>,
     interleaved: bool,
     create: Create,
@@ -441,7 +424,7 @@ fn new_life(rng: &mut Lcg) -> Lifetime {
         probe,
         metrics,
         instance,
-        woken: Arc::new(Woken(AtomicBool::new(true))),
+        waker: Wakes::default().task(),
         handle: Some(handle),
         interleaved,
         create,
@@ -498,7 +481,7 @@ impl History {
         if bound == 0 {
             return 0;
         }
-        (self.rng.next() % bound as u64) as usize
+        self.rng.below(bound)
     }
 
     fn chance(&mut self, percent: u64) -> bool {
@@ -537,12 +520,10 @@ impl History {
         if self.life.stopped {
             return;
         }
-        let woken = self.life.woken.0.swap(false, Ordering::SeqCst);
-        let before = (!woken).then(|| self.progress());
-        let waker = Waker::from(Arc::clone(&self.life.woken));
-        let instance = &mut self.life.instance;
+        let before = (!self.life.waker.fired()).then(|| self.progress());
+        let (instance, waker) = (&mut self.life.instance, &self.life.waker);
         let polled = catch_unwind(AssertUnwindSafe(|| {
-            Pin::new(instance).poll(&mut Context::from_waker(&waker))
+            waker.poll(|cx| Pin::new(instance).poll(cx))
         }));
         if let Some(before) = before {
             let progressed =
@@ -1089,13 +1070,6 @@ impl History {
     }
 }
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("GLIDER_REPLAY_SEED") {
-        Ok(s) => vec![s.parse().expect("GLIDER_REPLAY_SEED is a u64")],
-        Err(_) => (1..=8).collect(),
-    }
-}
-
 /// Keeps the scripted panics out of the test output.
 fn quiet_scripted_panics() {
     static HOOK: Once = Once::new();
@@ -1116,7 +1090,7 @@ fn quiet_scripted_panics() {
 #[test]
 fn one_method_at_a_time_delete_last_every_reply_once() {
     quiet_scripted_panics();
-    for seed in seeds() {
+    for seed in seeds(1..=8) {
         let mut history = History::new(seed);
         history.run();
         let History {

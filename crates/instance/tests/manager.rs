@@ -47,12 +47,6 @@
 //! Run one history with `GLIDER_REPLAY_SEED=<n> cargo test -p
 //! glider-instance --test manager`.
 
-// Shared with glider-wal's property tests; `frac` and `byte` are unused
-// here.
-#[allow(dead_code)]
-#[path = "../../wal/tests/common/lcg.rs"]
-mod lcg;
-
 use bytes::Bytes;
 use glider_instance::{ActionManager, ActionRegistry, Instance, MemStore, Spawn};
 use glider_metrics::{MetricsRegistry, Signal};
@@ -60,14 +54,13 @@ use glider_proto::batch::RecordBatchBuilder;
 use glider_proto::message::{RequestBody, ResponseBody};
 use glider_proto::types::{ActionSpec, NodeId, StreamDir, StreamId};
 use glider_proto::{ErrorCode, GliderResult};
+use glider_sim::{seeds, Lcg, TaskWaker, Wakes};
 use glider_trace::SpanContext;
-use lcg::Lcg;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::Poll;
 
 /// Steps one history takes before it runs everything out.
 const STEPS: usize = 3000;
@@ -83,52 +76,6 @@ const FILES: [&str; 4] = ["/f0", "/f1", "/missing", "/failing"];
 
 /// Filter patterns; the empty one keeps every line.
 const PATTERNS: [&str; 3] = ["ab", "", "zz"];
-
-/// A task's waker: records that it fired, and counts every wake.
-struct Flag {
-    woken: AtomicBool,
-    fired: Arc<AtomicUsize>,
-}
-
-impl Wake for Flag {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.woken.store(true, Ordering::SeqCst);
-        self.fired.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// A task's waker and its record; a new task starts woken.
-struct Waking {
-    flag: Arc<Flag>,
-    waker: Waker,
-}
-
-impl Waking {
-    fn new(fired: &Arc<AtomicUsize>) -> Self {
-        let flag = Arc::new(Flag {
-            woken: AtomicBool::new(true),
-            fired: Arc::clone(fired),
-        });
-        Waking {
-            waker: Waker::from(Arc::clone(&flag)),
-            flag,
-        }
-    }
-
-    fn woken(&self) -> bool {
-        self.flag.woken.load(Ordering::SeqCst)
-    }
-
-    /// Clears the record and polls `poll` with this waker.
-    fn poll<T>(&self, poll: impl FnOnce(&mut Context<'_>) -> Poll<T>) -> Poll<T> {
-        self.flag.woken.store(false, Ordering::SeqCst);
-        poll(&mut Context::from_waker(&self.waker))
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
@@ -267,13 +214,13 @@ enum What {
 struct Call {
     what: What,
     future: Pin<Box<dyn Future<Output = Out>>>,
-    wake: Waking,
+    wake: TaskWaker,
 }
 
 struct Running {
     gen: usize,
     instance: Instance,
-    wake: Waking,
+    wake: TaskWaker,
 }
 
 struct History {
@@ -285,7 +232,7 @@ struct History {
     spawned: Arc<Mutex<Vec<Instance>>>,
     store: MemStore,
     metrics: Arc<MetricsRegistry>,
-    fired: Arc<AtomicUsize>,
+    wakes: Wakes,
     running: Vec<Running>,
     calls: Vec<Call>,
     gens: Vec<Gen>,
@@ -360,7 +307,7 @@ impl History {
             spawned,
             store,
             metrics,
-            fired: Arc::default(),
+            wakes: Wakes::default(),
             running: Vec::new(),
             calls: Vec::new(),
             gens: Vec::new(),
@@ -381,7 +328,7 @@ impl History {
         if bound == 0 {
             return 0;
         }
-        (self.rng.next() % bound as u64) as usize
+        self.rng.below(bound)
     }
 
     fn chance(&mut self, percent: u64) -> bool {
@@ -421,7 +368,7 @@ impl History {
             (Some(gen), 1) => {
                 let instance = spawned.into_iter().next().unwrap();
                 assert_eq!(instance.node_id(), NodeId(self.gens[gen].node), "{at}");
-                let wake = Waking::new(&self.fired);
+                let wake = self.wakes.task();
                 self.running.push(Running {
                     gen,
                     instance,
@@ -469,7 +416,7 @@ impl History {
         self.calls.push(Call {
             what,
             future,
-            wake: Waking::new(&self.fired),
+            wake: self.wakes.task(),
         });
         self.poll_call(self.calls.len() - 1);
     }
@@ -477,10 +424,10 @@ impl History {
     /// Polls one woken task; false when none is woken.
     fn poll_woken(&mut self) -> bool {
         let instances: Vec<usize> = (0..self.running.len())
-            .filter(|&i| self.running[i].wake.woken())
+            .filter(|&i| self.running[i].wake.fired())
             .collect();
         let calls: Vec<usize> = (0..self.calls.len())
-            .filter(|&i| self.calls[i].wake.woken())
+            .filter(|&i| self.calls[i].wake.fired())
             .collect();
         if instances.is_empty() && calls.is_empty() {
             return false;
@@ -502,10 +449,10 @@ impl History {
     fn no_lost_wakeups(&mut self) {
         let at = self.at();
         for i in 0..self.running.len() {
-            let before = self.fired.load(Ordering::SeqCst);
+            let before = self.wakes.count();
             let gen = self.running[i].gen;
             let stopped = self.poll_instance(i);
-            let woke = self.fired.load(Ordering::SeqCst) != before;
+            let woke = self.wakes.count() != before;
             assert!(
                 !stopped && !woke,
                 "{at}: lost wake-up: the instance of node {} made progress unwoken",
@@ -513,10 +460,10 @@ impl History {
             );
         }
         for i in 0..self.calls.len() {
-            let before = self.fired.load(Ordering::SeqCst);
+            let before = self.wakes.count();
             let call = &mut self.calls[i];
             let poll = call.wake.poll(|cx| call.future.as_mut().poll(cx));
-            let woke = self.fired.load(Ordering::SeqCst) != before;
+            let woke = self.wakes.count() != before;
             assert!(
                 poll.is_pending() && !woke,
                 "{at}: lost wake-up: call {} made progress unwoken",
@@ -805,7 +752,7 @@ impl History {
         self.calls.push(Call {
             what: What::Create { node, expect },
             future,
-            wake: Waking::new(&self.fired),
+            wake: self.wakes.task(),
         });
         let at = self.calls.len() - 1;
         // The table decides at the first poll, which spawns the instance.
@@ -838,7 +785,7 @@ impl History {
         if cancel && gen.is_some() {
             // The caller goes away after the first poll queued the
             // delete; the instance still stops and frees the slot.
-            let wake = Waking::new(&self.fired);
+            let wake = self.wakes.task();
             assert!(wake.poll(|cx| future.as_mut().poll(cx)).is_pending());
             drop(future);
             self.cancelled += 1;
@@ -867,7 +814,7 @@ impl History {
         let m = Arc::clone(&self.m);
         let mut future =
             Box::pin(async move { m.open_stream(SpanContext::NONE, NodeId(node), dir).await });
-        let wake = Waking::new(&self.fired);
+        let wake = self.wakes.task();
         let Poll::Ready(result) = wake.poll(|cx| future.as_mut().poll(cx)) else {
             panic!("{}: an open waited", self.at());
         };
@@ -1436,7 +1383,7 @@ impl History {
                     expect: None,
                 },
                 future: Box::pin(async move { Out::Unit(m.push_chunk(sid, p as u64, data).await) }),
-                wake: Waking::new(&self.fired),
+                wake: self.wakes.task(),
             });
         }
     }
@@ -1523,16 +1470,9 @@ impl CacheModel {
     }
 }
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("GLIDER_REPLAY_SEED") {
-        Ok(s) => vec![s.parse().expect("GLIDER_REPLAY_SEED is a u64")],
-        Err(_) => (1..=8).collect(),
-    }
-}
-
 #[test]
 fn one_instance_per_node_every_call_once_outputs_match_their_oracles() {
-    for seed in seeds() {
+    for seed in seeds(1..=8) {
         let mut h = History::new(seed);
         h.run();
         let seen = format!(

@@ -3,13 +3,8 @@
 //! with 1-byte (and empty) chunks, must split like `split` on `\n` and
 //! filter like `str::contains`.
 
-// Shared with glider-wal's property tests; only `next` and `range` are
-// used here.
-#[allow(dead_code)]
-#[path = "../../wal/tests/common/lcg.rs"]
-mod lcg;
 use glider_kernels::{LineFilter, LineScanner};
-use lcg::Lcg;
+use glider_sim::Lcg;
 
 /// The lines `LineScanner` must produce: `split` on `\n`, less the empty
 /// piece after a final `\n` (or of an empty text).

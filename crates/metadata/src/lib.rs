@@ -1,9 +1,9 @@
 //! The Glider metadata server: the RPC shell over
 //! [`glider_namespace::service`], whose [`MetaService::apply`] answers
 //! every request. The shell adds what needs a runtime: the listener, the
-//! lease sweeper (every quarter lease: [`MetaService::sweep`], then
-//! [`MetaService::maintenance`]), the replica copies that repairs plan,
-//! and the test-only `alloc_delay` before `AddBlocks`.
+//! clock, the lease sweeper (every quarter lease: [`MetaService::sweep`],
+//! then [`MetaService::maintenance`]), the replica copies that repairs
+//! plan, and the test-only `alloc_delay` before `AddBlocks`.
 
 use futures::future::BoxFuture;
 use glider_metrics::{MetricsRegistry, Tier};
@@ -12,7 +12,7 @@ use glider_net::rpc::{ConnCtx, RpcClient, RpcHandler, ServerHandle};
 use glider_proto::message::{RequestBody, ResponseBody};
 use glider_proto::GliderResult;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use glider_namespace::service::MetadataOptions;
 
@@ -62,13 +62,14 @@ impl MetadataServer {
         options: MetadataOptions,
     ) -> GliderResult<Self> {
         let listener = glider_net::conn::bind(addr).await?;
-        let shell = Arc::new(Shell(MetaService::open(options, Arc::clone(&metrics))?));
+        let service = MetaService::open(Instant::now(), options, Arc::clone(&metrics))?;
+        let shell = Arc::new(Shell(service));
         let sweep = Arc::clone(&shell);
         let sweeper = tokio::spawn(async move {
             let interval = (sweep.0.options().lease / 4).max(Duration::from_millis(10));
             loop {
                 tokio::time::sleep(interval).await;
-                sweep.0.sweep();
+                sweep.0.sweep(Instant::now());
                 run_copies(&sweep.0, sweep.0.maintenance()).await;
             }
         });
@@ -146,7 +147,7 @@ impl RpcHandler for Shell {
                     tokio::time::sleep(delay).await;
                 }
             }
-            self.0.apply(body)
+            self.0.apply(Instant::now(), body)
         })
     }
 }

@@ -88,9 +88,12 @@ impl ServerEntry {
 /// ```
 /// use glider_namespace::ServerRegistry;
 /// use glider_proto::types::{ServerKind, StorageClass};
+/// use std::time::Instant;
 ///
+/// // The registry reads no clock: the caller stamps each registration.
 /// let mut reg = ServerRegistry::new();
 /// let (id, _first) = reg.register(
+///     Instant::now(),
 ///     ServerKind::Data,
 ///     StorageClass::dram(),
 ///     "127.0.0.1:9000".to_string(),
@@ -145,7 +148,8 @@ impl ServerRegistry {
         }
     }
 
-    /// Registers a server with `capacity` blocks into `class`.
+    /// Registers a server with `capacity` blocks into `class`; its lease
+    /// starts at `now`.
     ///
     /// Returns the assigned server id and the first block id of the
     /// contiguous range assigned to its capacity.
@@ -155,13 +159,14 @@ impl ServerRegistry {
     /// As [`ServerRegistry::register_with_ids`].
     pub fn register(
         &mut self,
+        now: Instant,
         kind: ServerKind,
         class: StorageClass,
         addr: String,
         capacity: u64,
     ) -> GliderResult<(ServerId, BlockId)> {
         let (id, first_block) = (ServerId(self.next_server), BlockId(self.next_block));
-        self.register_with_ids(id, first_block, kind, class, addr, capacity)?;
+        self.register_with_ids(now, id, first_block, kind, class, addr, capacity)?;
         Ok((id, first_block))
     }
 
@@ -181,8 +186,10 @@ impl ServerRegistry {
     ///   [`MAX_SERVER_BLOCKS`], or ids past the end of their `u64` range
     ///   (only a corrupt replayed record carries those),
     /// - [`ErrorCode::AlreadyExists`] if `id` is registered.
+    #[allow(clippy::too_many_arguments)]
     pub fn register_with_ids(
         &mut self,
+        now: Instant,
         id: ServerId,
         first_block: BlockId,
         kind: ServerKind,
@@ -234,7 +241,7 @@ impl ServerRegistry {
                 free,
                 is_free: vec![true; capacity as usize],
                 liveness: Liveness::Live,
-                last_beat: Instant::now(),
+                last_beat: now,
             },
         );
         self.classes.entry(class).or_default().members.push(id);
@@ -356,19 +363,19 @@ impl ServerRegistry {
     }
 
     /// Records a heartbeat: the server is (back to) `Live` and its lease
-    /// restarts.
+    /// restarts at `now`.
     ///
     /// # Errors
     ///
     /// Returns [`ErrorCode::NotFound`] for an unregistered id — the
     /// server's cue to re-register (e.g. after its entry was retired while
     /// it was partitioned away).
-    pub fn heartbeat(&mut self, id: ServerId) -> GliderResult<()> {
+    pub fn heartbeat(&mut self, now: Instant, id: ServerId) -> GliderResult<()> {
         let server = self
             .servers
             .get_mut(&id)
             .ok_or_else(|| GliderError::not_found(format!("server {}", id.0)))?;
-        server.last_beat = Instant::now();
+        server.last_beat = now;
         server.liveness = Liveness::Live;
         Ok(())
     }
@@ -384,8 +391,8 @@ impl ServerRegistry {
         }
     }
 
-    /// Applies lease expiry: servers silent longer than `lease` become
-    /// `Suspect`, longer than two leases `Dead`. Returns the resulting
+    /// Applies lease expiry at `now`: servers silent longer than `lease`
+    /// become `Suspect`, longer than two leases `Dead`. Returns the resulting
     /// `(live, suspect, dead)` census and every liveness [`Transition`] it
     /// caused — the metadata server turns these into structured
     /// flight-recorder events, so a later trace dump can say exactly when
@@ -394,9 +401,9 @@ impl ServerRegistry {
     /// a heartbeat, not by the sweep).
     pub fn sweep_with_transitions(
         &mut self,
+        now: Instant,
         lease: Duration,
     ) -> ((u64, u64, u64), Vec<Transition>) {
-        let now = Instant::now();
         let mut transitions = Vec::new();
         for server in self.servers.values_mut() {
             let silent = now.saturating_duration_since(server.last_beat);
@@ -482,10 +489,11 @@ mod tests {
             .sum()
     }
 
-    fn reg_with(n_servers: u64, cap: u64) -> ServerRegistry {
+    fn reg_with(now: Instant, n_servers: u64, cap: u64) -> ServerRegistry {
         let mut reg = ServerRegistry::new();
         for i in 0..n_servers {
             reg.register(
+                now,
                 ServerKind::Data,
                 StorageClass::dram(),
                 format!("srv-{i}"),
@@ -498,12 +506,19 @@ mod tests {
 
     #[test]
     fn register_assigns_contiguous_blocks() {
+        let t0 = Instant::now();
         let mut reg = ServerRegistry::new();
         let (s1, b1) = reg
-            .register(ServerKind::Data, StorageClass::dram(), "a".into(), 3)
+            .register(t0, ServerKind::Data, StorageClass::dram(), "a".into(), 3)
             .unwrap();
         let (s2, b2) = reg
-            .register(ServerKind::Active, StorageClass::active(), "b".into(), 2)
+            .register(
+                t0,
+                ServerKind::Active,
+                StorageClass::active(),
+                "b".into(),
+                2,
+            )
             .unwrap();
         assert_ne!(s1, s2);
         assert_eq!(b1, BlockId(1));
@@ -514,9 +529,10 @@ mod tests {
 
     #[test]
     fn zero_capacity_rejected() {
+        let t0 = Instant::now();
         let mut reg = ServerRegistry::new();
         assert!(reg
-            .register(ServerKind::Data, StorageClass::dram(), "a".into(), 0)
+            .register(t0, ServerKind::Data, StorageClass::dram(), "a".into(), 0)
             .is_err());
     }
 
@@ -525,10 +541,12 @@ mod tests {
     /// changes nothing.
     #[test]
     fn oversized_capacity_and_overflowing_ids_are_refused() {
+        let t0 = Instant::now();
         let mut reg = ServerRegistry::new();
         let mut restore = |id: u64, first: u64, capacity: u64| {
             let class = StorageClass::dram();
             reg.register_with_ids(
+                t0,
                 ServerId(id),
                 BlockId(first),
                 ServerKind::Data,
@@ -549,7 +567,7 @@ mod tests {
         }
         assert_eq!(reg.servers().count(), 0);
         assert_eq!(
-            reg.register(ServerKind::Data, StorageClass::dram(), "srv".into(), 4)
+            reg.register(t0, ServerKind::Data, StorageClass::dram(), "srv".into(), 4)
                 .unwrap(),
             (ServerId(1), BlockId(1))
         );
@@ -557,7 +575,8 @@ mod tests {
 
     #[test]
     fn allocation_round_robins_across_servers() {
-        let mut reg = reg_with(3, 10);
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 3, 10);
         let mut seen = Vec::new();
         for _ in 0..6 {
             seen.push(reg.allocate(&StorageClass::dram()).unwrap().server_id);
@@ -572,10 +591,17 @@ mod tests {
 
     #[test]
     fn allocation_skips_full_servers() {
+        let t0 = Instant::now();
         let mut reg = ServerRegistry::new();
-        reg.register(ServerKind::Data, StorageClass::dram(), "small".into(), 1)
-            .unwrap();
-        reg.register(ServerKind::Data, StorageClass::dram(), "big".into(), 5)
+        reg.register(
+            t0,
+            ServerKind::Data,
+            StorageClass::dram(),
+            "small".into(),
+            1,
+        )
+        .unwrap();
+        reg.register(t0, ServerKind::Data, StorageClass::dram(), "big".into(), 5)
             .unwrap();
         let mut allocated = Vec::new();
         for _ in 0..6 {
@@ -588,7 +614,8 @@ mod tests {
 
     #[test]
     fn capacity_exhaustion_and_free_cycle() {
-        let mut reg = reg_with(1, 2);
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 1, 2);
         let a = reg.allocate(&StorageClass::dram()).unwrap();
         let _b = reg.allocate(&StorageClass::dram()).unwrap();
         let err = reg.allocate(&StorageClass::dram()).unwrap_err();
@@ -600,7 +627,8 @@ mod tests {
 
     #[test]
     fn double_free_is_harmless() {
-        let mut reg = reg_with(1, 1);
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 1, 1);
         let a = reg.allocate(&StorageClass::dram()).unwrap();
         reg.free(a.block_id);
         reg.free(a.block_id);
@@ -610,46 +638,45 @@ mod tests {
 
     #[test]
     fn unknown_class_is_not_found() {
-        let mut reg = reg_with(1, 1);
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 1, 1);
         let err = reg.allocate(&StorageClass::from("nvme")).unwrap_err();
         assert_eq!(err.code(), ErrorCode::NotFound);
     }
 
     #[test]
     fn heartbeat_unknown_server_is_not_found() {
-        let mut reg = reg_with(1, 1);
-        assert!(reg.heartbeat(ServerId(1)).is_ok());
-        let err = reg.heartbeat(ServerId(99)).unwrap_err();
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 1, 1);
+        assert!(reg.heartbeat(t0, ServerId(1)).is_ok());
+        let err = reg.heartbeat(t0, ServerId(99)).unwrap_err();
         assert_eq!(err.code(), ErrorCode::NotFound);
     }
 
     #[test]
     fn sweep_walks_suspect_then_dead() {
-        let mut reg = reg_with(1, 1);
-        // Backdate the heartbeat instead of sleeping, so the one-lease
-        // (Suspect) and two-lease (Dead) verdicts are deterministic.
-        let backdate = |reg: &mut ServerRegistry, silent: Duration| {
-            reg.servers.get_mut(&ServerId(1)).unwrap().last_beat = Instant::now() - silent;
-        };
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 1, 1);
         let lease = Duration::from_secs(10);
-        backdate(&mut reg, Duration::from_secs(11));
-        assert_eq!(reg.sweep_with_transitions(lease).0, (0, 1, 0));
-        backdate(&mut reg, Duration::from_secs(21));
-        assert_eq!(reg.sweep_with_transitions(lease).0, (0, 0, 1));
-        // A heartbeat resurrects the server.
-        reg.heartbeat(ServerId(1)).unwrap();
+        let at = |secs| t0 + Duration::from_secs(secs);
+        assert_eq!(reg.sweep_with_transitions(at(10), lease).0, (1, 0, 0));
+        assert_eq!(reg.sweep_with_transitions(at(11), lease).0, (0, 1, 0));
+        assert_eq!(reg.sweep_with_transitions(at(20), lease).0, (0, 1, 0));
+        assert_eq!(reg.sweep_with_transitions(at(21), lease).0, (0, 0, 1));
+        // A heartbeat resurrects the server, and its lease restarts.
+        reg.heartbeat(at(22), ServerId(1)).unwrap();
         assert_eq!(reg.liveness_counts(), (1, 0, 0));
+        assert_eq!(reg.sweep_with_transitions(at(32), lease).0, (1, 0, 0));
     }
 
     #[test]
     fn sweep_reports_each_transition_once() {
-        let mut reg = reg_with(2, 1);
-        let backdate = |reg: &mut ServerRegistry, id: u64, silent: Duration| {
-            reg.servers.get_mut(&ServerId(id)).unwrap().last_beat = Instant::now() - silent;
-        };
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 2, 1);
         let lease = Duration::from_secs(10);
-        backdate(&mut reg, 1, Duration::from_secs(11));
-        let (census, transitions) = reg.sweep_with_transitions(lease);
+        let at = |secs| t0 + Duration::from_secs(secs);
+        reg.heartbeat(at(11), ServerId(2)).unwrap();
+        let (census, transitions) = reg.sweep_with_transitions(at(11), lease);
         assert_eq!(census, (1, 1, 0));
         assert_eq!(transitions.len(), 1);
         let (ref addr, from, to) = transitions[0];
@@ -657,11 +684,11 @@ mod tests {
         assert_eq!((from, to), (Liveness::Live, Liveness::Suspect));
         // Re-sweeping with no further silence reports nothing new: the
         // server is already Suspect and server 2 is inside its lease.
-        let (_, again) = reg.sweep_with_transitions(lease);
+        let (_, again) = reg.sweep_with_transitions(at(11), lease);
         assert!(again.is_empty(), "steady state reports no transitions");
         // Crossing two leases reports the Suspect -> Dead edge.
-        backdate(&mut reg, 1, Duration::from_secs(21));
-        let (census, transitions) = reg.sweep_with_transitions(lease);
+        reg.heartbeat(at(21), ServerId(2)).unwrap();
+        let (census, transitions) = reg.sweep_with_transitions(at(21), lease);
         assert_eq!(census, (1, 0, 1));
         assert_eq!(transitions.len(), 1);
         assert_eq!(
@@ -672,7 +699,8 @@ mod tests {
 
     #[test]
     fn allocation_skips_suspect_and_dead_servers() {
-        let mut reg = reg_with(2, 2);
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 2, 2);
         reg.suspect(ServerId(1));
         for _ in 0..2 {
             let loc = reg.allocate(&StorageClass::dram()).unwrap();
@@ -683,19 +711,20 @@ mod tests {
         let err = reg.allocate(&StorageClass::dram()).unwrap_err();
         assert_eq!(err.code(), ErrorCode::OutOfCapacity);
         // Heartbeat re-admits server 1.
-        reg.heartbeat(ServerId(1)).unwrap();
+        reg.heartbeat(t0, ServerId(1)).unwrap();
         assert!(reg.allocate(&StorageClass::dram()).is_ok());
     }
 
     #[test]
     fn reregistration_supersedes_same_address() {
+        let t0 = Instant::now();
         let mut reg = ServerRegistry::new();
         let (old_id, _) = reg
-            .register(ServerKind::Data, StorageClass::dram(), "srv".into(), 2)
+            .register(t0, ServerKind::Data, StorageClass::dram(), "srv".into(), 2)
             .unwrap();
         let old_block = reg.allocate(&StorageClass::dram()).unwrap().block_id;
         let (new_id, _) = reg
-            .register(ServerKind::Data, StorageClass::dram(), "srv".into(), 2)
+            .register(t0, ServerKind::Data, StorageClass::dram(), "srv".into(), 2)
             .unwrap();
         assert_ne!(old_id, new_id);
         assert!(reg.server(old_id).is_none(), "stale entry survives");
@@ -712,7 +741,8 @@ mod tests {
 
     #[test]
     fn allocate_excluding_picks_distinct_servers() {
-        let mut reg = reg_with(3, 4);
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 3, 4);
         let primary = reg.allocate(&StorageClass::dram()).unwrap();
         let backup = reg
             .allocate_excluding(&StorageClass::dram(), &[primary.server_id])
@@ -735,9 +765,11 @@ mod tests {
 
     #[test]
     fn restore_register_rebuilds_and_is_idempotent() {
+        let t0 = Instant::now();
         let mut reg = ServerRegistry::new();
         let restore = |reg: &mut ServerRegistry| {
             reg.register_with_ids(
+                t0,
                 ServerId(7),
                 BlockId(10),
                 ServerKind::Data,
@@ -772,27 +804,29 @@ mod tests {
         );
         // Fresh ids continue past the recovered range.
         let (new_id, new_block) = reg
-            .register(ServerKind::Data, StorageClass::dram(), "srv2".into(), 1)
+            .register(t0, ServerKind::Data, StorageClass::dram(), "srv2".into(), 1)
             .unwrap();
         assert_eq!((new_id, new_block), (ServerId(8), BlockId(13)));
     }
 
     #[test]
     fn gone_servers_are_unregistered_or_dead() {
-        let mut reg = reg_with(3, 1);
+        let t0 = Instant::now();
+        let mut reg = reg_with(t0, 3, 1);
         assert!((1..=3).all(|id| !reg.is_gone(ServerId(id))));
         assert!(reg.is_gone(ServerId(9)), "never registered");
-        reg.servers.get_mut(&ServerId(1)).unwrap().last_beat =
-            Instant::now() - Duration::from_secs(21);
-        reg.servers.get_mut(&ServerId(2)).unwrap().last_beat =
-            Instant::now() - Duration::from_secs(11);
-        reg.sweep_with_transitions(Duration::from_secs(10));
+        // At 21 s, server 1 has been silent 21 s, server 2 11 s and
+        // server 3 not at all.
+        let at = |secs| t0 + Duration::from_secs(secs);
+        reg.heartbeat(at(10), ServerId(2)).unwrap();
+        reg.heartbeat(at(21), ServerId(3)).unwrap();
+        reg.sweep_with_transitions(at(21), Duration::from_secs(10));
         assert!(reg.is_gone(ServerId(1)), "dead");
         assert!(!reg.is_gone(ServerId(2)), "suspect may come back");
         // Re-registering server 3's address retires its entry.
         let addr = reg.server(ServerId(3)).unwrap().addr.clone();
         let (new_id, _) = reg
-            .register(ServerKind::Data, StorageClass::dram(), addr, 1)
+            .register(t0, ServerKind::Data, StorageClass::dram(), addr, 1)
             .unwrap();
         assert!(reg.is_gone(ServerId(3)), "retired");
         assert!(!reg.is_gone(new_id));
@@ -800,11 +834,18 @@ mod tests {
 
     #[test]
     fn classes_are_isolated() {
+        let t0 = Instant::now();
         let mut reg = ServerRegistry::new();
-        reg.register(ServerKind::Data, StorageClass::dram(), "d".into(), 1)
+        reg.register(t0, ServerKind::Data, StorageClass::dram(), "d".into(), 1)
             .unwrap();
-        reg.register(ServerKind::Active, StorageClass::active(), "a".into(), 1)
-            .unwrap();
+        reg.register(
+            t0,
+            ServerKind::Active,
+            StorageClass::active(),
+            "a".into(),
+            1,
+        )
+        .unwrap();
         let d = reg.allocate(&StorageClass::dram()).unwrap();
         let a = reg.allocate(&StorageClass::active()).unwrap();
         assert_eq!(d.addr, "d");

@@ -19,7 +19,10 @@
 //!
 //! [`MetaService::apply`] is the whole request surface, and knows nothing
 //! of the transport: `glider-metadata` serves it over RPC, runs the lease
-//! sweeper, and executes the [`CopyPlan`]s that repairs return.
+//! sweeper, and executes the [`CopyPlan`]s that repairs return. Nor does
+//! it read the clock: `open`, `apply` and `sweep` take `now`, the instant
+//! a lease starts or is judged at, so a test drives leases by advancing
+//! its own `Instant`.
 //!
 //! State is split for concurrency (λFS-style): the block allocator
 //! ([`ServerRegistry`]) has its own mutex, and the namespace tree is
@@ -51,7 +54,7 @@ use glider_wal::{Wal, WalOptions, WalStats};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default number of namespace shards per metadata server.
 pub const DEFAULT_NAMESPACE_SHARDS: usize = 8;
@@ -343,21 +346,27 @@ fn check_held(node: &Node, reg: &ServerRegistry, block: BlockId, len: u64) -> Gl
 
 impl MetaService {
     /// Builds the service. With a WAL directory this is crash recovery
-    /// ([`recover`] from the newest snapshot and the log past it); without
-    /// one, the same call builds a fresh state.
+    /// ([`recover`] from the newest snapshot and the log past it, every
+    /// recovered server's lease starting at `now`); without one, the same
+    /// call builds a fresh state.
     ///
     /// # Errors
     ///
     /// `Unavailable` when the WAL cannot be opened, or what [`recover`]
     /// refuses.
-    pub fn open(options: MetadataOptions, metrics: Arc<MetricsRegistry>) -> GliderResult<Self> {
+    pub fn open(
+        now: Instant,
+        options: MetadataOptions,
+        metrics: Arc<MetricsRegistry>,
+    ) -> GliderResult<Self> {
         let shard_count = options.namespace_shards.clamp(1, 64);
         let (wal, (shards, reg)) = match &options.wal {
-            None => (None, recover(shard_count, None, 0, [])?),
+            None => (None, recover(now, shard_count, None, 0, [])?),
             Some(dir) => {
                 let (wal, replay) = Wal::open(WalOptions::new(dir))
                     .map_err(|e| GliderError::unavailable(format!("wal open failed: {e}")))?;
                 let state = recover(
+                    now,
                     shard_count,
                     replay.snapshot.as_deref(),
                     replay.snapshot_lsn,
@@ -531,14 +540,15 @@ impl MetaService {
             .collect()
     }
 
-    /// Walks the heartbeat leases (DESIGN.md §10): demotes silent servers
-    /// Live → Suspect → Dead, publishes the census, and logs each
-    /// transition into the flight recorder's structured event log, so a
-    /// `DumpSpans` query can pin down *when* a server was demoted.
-    pub fn sweep(&self) {
+    /// Walks the heartbeat leases at `now` (DESIGN.md §10): demotes
+    /// silent servers Live → Suspect → Dead, publishes the census, and
+    /// logs each transition into the flight recorder's structured event
+    /// log, so a `DumpSpans` query can pin down *when* a server was
+    /// demoted.
+    pub fn sweep(&self, now: Instant) {
         let mut ctx = Locked::unlocked();
         let (mut reg, _) = self.reg.lock(&mut ctx);
-        let (_, transitions) = reg.sweep_with_transitions(self.options.lease);
+        let (_, transitions) = reg.sweep_with_transitions(now, self.options.lease);
         self.publish_liveness(&reg);
         drop(reg);
         for (addr, from, to) in transitions {
@@ -792,8 +802,9 @@ impl MetaService {
             .map_err(|e| GliderError::unavailable(format!("wal snapshot failed: {e}")))
     }
 
-    /// Serves one metadata request: a mutation is applied under its locks
-    /// and appended to the WAL before the answer is built. `RepairNode`
+    /// Serves one metadata request arriving at `now` (a registration's or
+    /// heartbeat's lease starts then): a mutation is applied under its
+    /// locks and appended to the WAL before the answer is built. `RepairNode`
     /// (served by the RPC shell through
     /// [`MetaService::repair_node_locked`]) and data-plane ops answer
     /// `Unsupported`.
@@ -804,7 +815,7 @@ impl MetaService {
     /// changed, for a request over the size bounds that keep its WAL
     /// record under the log's cap; `Unavailable` when the WAL append
     /// fails.
-    pub fn apply(&self, body: RequestBody) -> GliderResult<ResponseBody> {
+    pub fn apply(&self, now: Instant, body: RequestBody) -> GliderResult<ResponseBody> {
         check_bounds(&body)?;
         let mut ctx = Locked::unlocked();
         match body {
@@ -816,8 +827,13 @@ impl MetaService {
                 capacity_blocks,
             } => {
                 let (mut reg, _) = self.reg.lock(&mut ctx);
-                let (server_id, first_block_id) =
-                    reg.register(kind, storage_class.clone(), addr.clone(), capacity_blocks)?;
+                let (server_id, first_block_id) = reg.register(
+                    now,
+                    kind,
+                    storage_class.clone(),
+                    addr.clone(),
+                    capacity_blocks,
+                )?;
                 self.publish_liveness(&reg);
                 self.log(&WalEntry::ServerRegistered {
                     server_id,
@@ -834,7 +850,7 @@ impl MetaService {
             }
             RequestBody::Heartbeat { server_id } => {
                 let (mut reg, _) = self.reg.lock(&mut ctx);
-                reg.heartbeat(server_id)?;
+                reg.heartbeat(now, server_id)?;
                 self.publish_liveness(&reg);
                 Ok(ResponseBody::Ok)
             }

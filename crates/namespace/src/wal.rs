@@ -41,6 +41,7 @@ use glider_proto::types::{
 };
 use glider_proto::{GliderError, GliderResult};
 use std::collections::HashSet;
+use std::time::Instant;
 
 glider_proto::wire_type! {
     /// One durable metadata mutation, recorded after it was applied in
@@ -323,7 +324,7 @@ pub fn shard_of_id(id: NodeId) -> usize {
 /// registry from the newest snapshot (if any) and the log past it, whose
 /// records are numbered from `covered_lsn + 1` (`covered_lsn` is the
 /// WAL's, 0 without a snapshot). With neither, the result is a fresh
-/// server.
+/// server. Every recovered server's lease starts at `now`.
 ///
 /// Each record runs through the mutators the live server called, on its
 /// own part only, and only when its LSN is past that part's cut. Last,
@@ -343,6 +344,7 @@ pub fn shard_of_id(id: NodeId) -> usize {
 ///   the record's LSN and kind: replay re-runs the live history, so such
 ///   a record means a corrupt log.
 pub fn recover<'a>(
+    now: Instant,
     shard_count: usize,
     snapshot: Option<&[u8]>,
     covered_lsn: u64,
@@ -354,6 +356,7 @@ pub fn recover<'a>(
             .collect(),
         reg: ServerRegistry::new(),
         cuts: vec![0; shard_count + 1],
+        now,
     };
     if let Some(payload) = snapshot {
         state.restore(Snapshot::decode(payload)?)?;
@@ -394,6 +397,8 @@ struct Recovery {
     reg: ServerRegistry,
     /// Each part's cut, indexed as [`Snapshot::cuts`].
     cuts: Vec<u64>,
+    /// When recovery runs: every server's lease starts here.
+    now: Instant,
 }
 
 impl Recovery {
@@ -411,8 +416,15 @@ impl Recovery {
         }
         self.cuts = snap.cuts;
         for s in snap.servers {
-            self.reg
-                .register_with_ids(s.id, s.first_block, s.kind, s.class, s.addr, s.capacity)?;
+            self.reg.register_with_ids(
+                self.now,
+                s.id,
+                s.first_block,
+                s.kind,
+                s.class,
+                s.addr,
+                s.capacity,
+            )?;
         }
         for (shard, (next_id, nodes)) in snap.shards.into_iter().enumerate() {
             for rec in nodes {
@@ -490,9 +502,15 @@ impl Recovery {
                 addr,
                 capacity,
                 first_block,
-            } => self
-                .reg
-                .register_with_ids(server_id, first_block, kind, class, addr, capacity),
+            } => self.reg.register_with_ids(
+                self.now,
+                server_id,
+                first_block,
+                kind,
+                class,
+                addr,
+                capacity,
+            ),
             WalEntry::NodeCreated {
                 path,
                 id,
@@ -792,7 +810,7 @@ mod tests {
         for old in [unhex(PRE_CUT_SNAPSHOT), vec![0; 8]] {
             let err = Snapshot::decode(&old).unwrap_err();
             assert!(err.message().contains("before per-part cuts"), "{err}");
-            let err = recover(2, Some(&old), 0, []).unwrap_err();
+            let err = recover(Instant::now(), 2, Some(&old), 0, []).unwrap_err();
             assert!(err.message().contains("before per-part cuts"), "{err}");
         }
     }

@@ -24,12 +24,6 @@
 //! can be made to fail), and fsync itself, which `glider-wal`'s crash
 //! tests cover.
 
-// Shared with glider-wal's property tests; `frac`/`byte` are unused here.
-#[allow(dead_code)]
-#[path = "../../wal/tests/common/lcg.rs"]
-mod lcg;
-#[path = "../../wal/tests/common/tempdir.rs"]
-mod tempdir;
 use glider_metrics::MetricsRegistry;
 use glider_namespace::service::{MetaService, MetadataOptions};
 use glider_namespace::wal::{NodeRecord, Snapshot};
@@ -38,11 +32,11 @@ use glider_proto::op::WalClass;
 use glider_proto::types::{
     ActionSpec, BlockId, NodeId, NodeKind, ServerId, ServerKind, StorageClass,
 };
-use lcg::Lcg;
+use glider_sim::{seeds, Lcg, TempDir};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ffi::OsString;
 use std::path::Path;
-use tempdir::TempDir;
+use std::time::Instant;
 
 /// Calls a history makes after `maintenance` installed its first
 /// snapshot (once 512 records follow the last), so that recoveries read
@@ -142,6 +136,9 @@ struct History {
     shards: usize,
     dir: TempDir,
     svc: MetaService,
+    /// The one instant every call and recovery happens at: no lease
+    /// runs out, and liveness is no part of the logged state.
+    now: Instant,
     rng: Lcg,
     /// Every server address registered so far.
     addrs: Vec<String>,
@@ -156,14 +153,17 @@ struct History {
 impl History {
     fn new(seed: u64, factor: u32, shards: usize) -> History {
         let dir = TempDir::new("glider-meta-persist");
-        let svc = MetaService::open(options(factor, shards, dir.path()), MetricsRegistry::new())
-            .expect("open an empty log");
+        let now = Instant::now();
+        let options = options(factor, shards, dir.path());
+        let svc =
+            MetaService::open(now, options, MetricsRegistry::new()).expect("open an empty log");
         History {
             seed,
             factor,
             shards,
             dir,
             svc,
+            now,
             rng: Lcg(seed ^ (u64::from(factor) << 8) ^ shards as u64),
             addrs: Vec::new(),
             server_ids: Vec::new(),
@@ -172,16 +172,12 @@ impl History {
         }
     }
 
-    fn below(&mut self, bound: usize) -> usize {
-        self.rng.range(0, bound as u64) as usize
-    }
-
     fn chance(&mut self, percent: u64) -> bool {
         self.rng.range(0, 100) < percent
     }
 
     fn pick<T: Clone>(&mut self, items: &[T]) -> Option<T> {
-        (!items.is_empty()).then(|| items[self.below(items.len())].clone())
+        (!items.is_empty()).then(|| items[self.rng.below(items.len())].clone())
     }
 
     /// Draws the next call against the state `now`.
@@ -201,11 +197,11 @@ impl History {
         // In percent: register 8, create 32, add blocks 20, commit 16,
         // replace 7, delete 6, heartbeat 3, repair 5, maintenance 3 (and
         // in place of a commit or replace while no node holds a block).
-        let body = match self.below(100) {
+        let body = match self.rng.below(100) {
             0..=7 => self.register(),
             8..=39 => self.create(&all),
             40..=59 => {
-                let node = match self.below(10) {
+                let node = match self.rng.below(10) {
                     0 => None,
                     1..=2 => self.pick(&all),
                     _ => self.pick(&chains),
@@ -243,7 +239,7 @@ impl History {
                 RequestBody::DeleteNode { path }
             }
             89..=91 => {
-                let at = self.below(self.server_ids.len().max(1));
+                let at = self.rng.below(self.server_ids.len().max(1));
                 let server_id = match self.server_ids.get(at).copied() {
                     Some(id) if !self.chance(10) => id,
                     _ => ServerId(9_999),
@@ -278,12 +274,12 @@ impl History {
     /// A dram, nvme or active server of 2 to 32 blocks; one in four
     /// reuses a registered address, which retires the server there.
     fn register(&mut self) -> RequestBody {
-        let (kind, storage_class) = match self.below(3) {
+        let (kind, storage_class) = match self.rng.below(3) {
             0 => (ServerKind::Data, StorageClass::dram()),
             1 => (ServerKind::Data, StorageClass::nvme()),
             _ => (ServerKind::Active, StorageClass::active()),
         };
-        let at = self.below(self.addrs.len().max(1));
+        let at = self.rng.below(self.addrs.len().max(1));
         let addr = match self.addrs.get(at).cloned() {
             Some(addr) if self.chance(25) => addr,
             _ => {
@@ -303,25 +299,29 @@ impl History {
     /// A node of any kind, under an existing container, a missing
     /// parent or a non-container, at a path that may be taken.
     fn create(&mut self, all: &[&NodeRecord]) -> RequestBody {
-        let kind = KINDS[self.below(KINDS.len())];
+        let kind = KINDS[self.rng.below(KINDS.len())];
         let containers: Vec<String> = all
             .iter()
             .filter(|n| n.kind.is_container())
             .map(|n| n.path.clone())
             .collect();
-        let parent = match self.below(20) {
-            0 => format!("/missing{}", self.below(3)),
+        let parent = match self.rng.below(20) {
+            0 => format!("/missing{}", self.rng.below(3)),
             1 => self.pick(all).map_or(String::new(), |n| n.path.clone()),
             2..=7 => String::new(),
             _ => self.pick(&containers).unwrap_or_default(),
         };
-        let name = format!("{}{}", ["a", "b", "c", "d"][self.below(4)], self.below(6));
+        let name = format!(
+            "{}{}",
+            ["a", "b", "c", "d"][self.rng.below(4)],
+            self.rng.below(6)
+        );
         let action = (kind == NodeKind::Action).then(|| ActionSpec {
             type_name: "merge".to_string(),
             interleaved: self.chance(50),
-            params: format!("p{}", self.below(100)),
+            params: format!("p{}", self.rng.below(100)),
         });
-        let storage_class = match self.below(10) {
+        let storage_class = match self.rng.below(10) {
             0 => Some(StorageClass::nvme()),
             1 => Some(StorageClass::from("ssd")),
             _ => None,
@@ -344,7 +344,7 @@ impl History {
             }
         }
         if self.chance(16) {
-            let at = self.below(commits.len() + 1);
+            let at = self.rng.below(commits.len() + 1);
             commits.insert(at, (BlockId(1 << 50), 1));
         }
         RequestBody::CommitBlocks {
@@ -377,7 +377,7 @@ impl History {
             std::fs::write(copy.join(name), bytes).expect("copy the log");
         }
         let options = options(self.factor, self.shards, copy.path());
-        let svc = MetaService::open(options, MetricsRegistry::new())
+        let svc = MetaService::open(self.now, options, MetricsRegistry::new())
             .unwrap_or_else(|e| panic!("seed {}: recovery refused the log: {e}", self.seed));
         let state = svc.capture();
         self.last_recovery = Some((files, state.clone()));
@@ -389,7 +389,10 @@ impl History {
     fn step(&mut self, step: usize, before: Snapshot) -> Snapshot {
         let call = self.draw(&before);
         let (ok, op) = match &call {
-            Call::Apply(body) => (self.svc.apply(body.clone()).is_ok(), Some(body.op())),
+            Call::Apply(body) => (
+                self.svc.apply(self.now, body.clone()).is_ok(),
+                Some(body.op()),
+            ),
             Call::Repair(node_id) => (self.svc.repair_node_locked(*node_id).is_ok(), None),
             Call::Maintenance => {
                 self.svc.maintenance();
@@ -429,15 +432,8 @@ impl History {
     }
 }
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("GLIDER_REPLAY_SEED") {
-        Ok(s) => vec![s.parse().expect("GLIDER_REPLAY_SEED is a u64")],
-        Err(_) => vec![1],
-    }
-}
-
 fn run(factor: u32, shards: usize) {
-    for seed in seeds() {
+    for seed in seeds([1]) {
         eprintln!("persist property: seed {seed}, factor {factor}, {shards} shards");
         let mut history = History::new(seed, factor, shards);
         let at = format!("seed {seed} config (factor {factor}, {shards} shards)");

@@ -18,8 +18,9 @@ use glider_proto::types::{
     ActionSpec, BlockId, BlockLocation, NodeId, NodeKind, ServerId, ServerKind, StorageClass,
 };
 use glider_proto::{ErrorCode, GliderResult};
+use glider_sim::{seeds, Lcg};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 4;
 /// The registry plus every shard.
@@ -29,22 +30,12 @@ const ENTRIES: usize = 400;
 /// Seeded skewed cut vectors per smallest cut.
 const SKEWED: usize = 8;
 
-/// Numerical Recipes LCG; draws are the high 31 bits.
-struct Lcg(u64);
+/// The lease the history's servers are judged by.
+const LEASE: Duration = Duration::from_secs(10);
 
-impl Lcg {
-    /// Uniform-ish value in `0..bound` (`bound` > 0).
-    fn below(&mut self, bound: usize) -> usize {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((self.0 >> 33) % bound as u64) as usize
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        (!items.is_empty()).then(|| &items[self.below(items.len())])
-    }
+/// One of `items`, or `None` when there are none.
+fn pick<'a, T>(rng: &mut Lcg, items: &'a [T]) -> Option<&'a T> {
+    (!items.is_empty()).then(|| &items[rng.below(items.len())])
 }
 
 /// The live side: the state the mutators build, and the log they write.
@@ -60,6 +51,9 @@ struct Live {
     /// Times a node got back a primary block id it had held before.
     reuses: usize,
     rng: Lcg,
+    /// The registry's clock: every registration and heartbeat is stamped
+    /// with it, and a liveness step moves it past two leases.
+    now: Instant,
 }
 
 /// The comparable state: servers in id order plus every shard's nodes.
@@ -83,7 +77,8 @@ fn class_of(kind: NodeKind) -> StorageClass {
 
 impl Live {
     fn new(seed: u64) -> Live {
-        let (shards, reg) = recover(SHARDS, None, 0, []).unwrap();
+        let now = Instant::now();
+        let (shards, reg) = recover(now, SHARDS, None, 0, []).unwrap();
         let states = vec![capture(&shards, &reg)];
         Live {
             shards,
@@ -93,6 +88,7 @@ impl Live {
             held: BTreeMap::new(),
             reuses: 0,
             rng: Lcg(seed),
+            now,
         }
     }
 
@@ -185,7 +181,7 @@ impl Live {
             12 => self.replace(),
             13 => {
                 let primaries = self.primaries(false);
-                if let Some((node_id, primary)) = self.rng.pick(&primaries).cloned() {
+                if let Some((node_id, primary)) = pick(&mut self.rng, &primaries).cloned() {
                     self.set_backups(node_id, &primary);
                 }
             }
@@ -195,8 +191,8 @@ impl Live {
     }
 
     /// Liveness, which no record carries: a Suspect or Dead server
-    /// heartbeats back, or one server goes Dead (through a zero-lease
-    /// sweep that every other server heartbeats through).
+    /// heartbeats back, or one server goes Dead (the clock moves past two
+    /// leases, and every other server heartbeats before the sweep).
     fn liveness(&mut self) {
         let mut ids: Vec<ServerId> = self.reg.servers().map(|s| s.id).collect();
         ids.sort();
@@ -206,20 +202,19 @@ impl Live {
             .filter(|&id| self.reg.server(id).unwrap().liveness() != Liveness::Live)
             .collect();
         if self.rng.below(2) == 0 {
-            if let Some(&back) = self.rng.pick(&down) {
-                self.reg.heartbeat(back).unwrap();
+            if let Some(&back) = pick(&mut self.rng, &down) {
+                self.reg.heartbeat(self.now, back).unwrap();
             }
             return;
         }
-        let Some(&victim) = self.rng.pick(&ids) else {
+        let Some(&victim) = pick(&mut self.rng, &ids) else {
             return;
         };
-        // Every server has then been silent longer than a zero lease.
-        std::thread::sleep(Duration::from_micros(1));
-        self.reg.sweep_with_transitions(Duration::ZERO);
+        self.now += LEASE * 3;
         for id in ids.into_iter().filter(|&id| id != victim) {
-            self.reg.heartbeat(id).unwrap();
+            self.reg.heartbeat(self.now, id).unwrap();
         }
+        self.reg.sweep_with_transitions(self.now, LEASE);
     }
 
     fn register(&mut self) {
@@ -233,7 +228,7 @@ impl Live {
         let capacity = 2 + self.rng.below(5) as u64;
         let (server_id, first_block) = self
             .reg
-            .register(kind, class.clone(), addr.clone(), capacity)
+            .register(self.now, kind, class.clone(), addr.clone(), capacity)
             .unwrap();
         self.log(WalEntry::ServerRegistered {
             server_id,
@@ -260,7 +255,7 @@ impl Live {
             .map(|n| n.3)
             .collect();
         parents.push(NodePath::root());
-        let parent = self.rng.pick(&parents).unwrap().as_str().to_string();
+        let parent = pick(&mut self.rng, &parents).unwrap().as_str().to_string();
         let name = format!("n{}", self.rng.below(12));
         let path = NodePath::parse(&format!("{}/{name}", parent.trim_end_matches('/'))).unwrap();
         let class = class_of(kind);
@@ -320,7 +315,7 @@ impl Live {
             .filter(|n| n.2 == NodeKind::File)
             .map(|n| n.1)
             .collect();
-        let Some(&node_id) = self.rng.pick(&files) else {
+        let Some(&node_id) = pick(&mut self.rng, &files) else {
             return;
         };
         let class = StorageClass::dram();
@@ -357,7 +352,7 @@ impl Live {
 
     fn commit(&mut self) {
         let primaries = self.primaries(false);
-        let Some((node_id, _)) = self.rng.pick(&primaries).cloned() else {
+        let Some((node_id, _)) = pick(&mut self.rng, &primaries).cloned() else {
             return;
         };
         let chain: Vec<BlockId> = primaries
@@ -367,7 +362,7 @@ impl Live {
             .collect();
         let mut commits = Vec::new();
         for _ in 0..1 + self.rng.below(3) {
-            let block = *self.rng.pick(&chain).unwrap();
+            let block = *pick(&mut self.rng, &chain).unwrap();
             let len = self.rng.below(4096) as u64;
             self.ns(node_id).commit_block(node_id, block, len).unwrap();
             commits.push((block, len));
@@ -380,7 +375,7 @@ impl Live {
     /// the replacement is allocated elsewhere.
     fn replace(&mut self) {
         let primaries = self.primaries(false);
-        let Some((node_id, old)) = self.rng.pick(&primaries).cloned() else {
+        let Some((node_id, old)) = pick(&mut self.rng, &primaries).cloned() else {
             return;
         };
         let class = self.ns(node_id).get(node_id).unwrap().storage_class.clone();
@@ -445,7 +440,7 @@ impl Live {
 
     fn promote(&mut self) {
         let primaries = self.primaries(true);
-        let Some((node_id, old)) = self.rng.pick(&primaries).cloned() else {
+        let Some((node_id, old)) = pick(&mut self.rng, &primaries).cloned() else {
             return;
         };
         // The primary's server is gone; its first backup takes over.
@@ -465,7 +460,7 @@ impl Live {
 
     fn delete(&mut self) {
         let nodes = self.nodes();
-        let Some((shard, _, _, path)) = self.rng.pick(&nodes).cloned() else {
+        let Some((shard, _, _, path)) = pick(&mut self.rng, &nodes).cloned() else {
             return;
         };
         let out = self.shards[shard].delete(&path).unwrap();
@@ -494,7 +489,12 @@ fn records(log: &[Vec<u8>]) -> impl Iterator<Item = &[u8]> {
 
 /// Registering, creating and allocating after recovery never hands out
 /// a server id, node id or block the recovered state holds.
-fn fresh_ids_stay_fresh(seed: u64, shards: &mut [Namespace], reg: &mut ServerRegistry) {
+fn fresh_ids_stay_fresh(
+    seed: u64,
+    now: Instant,
+    shards: &mut [Namespace],
+    reg: &mut ServerRegistry,
+) {
     let mut held_blocks = BTreeSet::new();
     let mut held_nodes = BTreeSet::new();
     for node in shards.iter().flat_map(Namespace::nodes) {
@@ -518,7 +518,13 @@ fn fresh_ids_stay_fresh(seed: u64, shards: &mut [Namespace], reg: &mut ServerReg
         }
     }
     let (id, first) = reg
-        .register(ServerKind::Data, StorageClass::dram(), "srv-new".into(), 4)
+        .register(
+            now,
+            ServerKind::Data,
+            StorageClass::dram(),
+            "srv-new".into(),
+            4,
+        )
         .unwrap();
     assert!(!held_servers.contains(&id), "seed {seed}: reissued {id:?}");
     for b in first.0..first.0 + 4 {
@@ -543,16 +549,9 @@ fn fresh_ids_stay_fresh(seed: u64, shards: &mut [Namespace], reg: &mut ServerReg
     }
 }
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("GLIDER_REPLAY_SEED") {
-        Ok(s) => vec![s.parse().expect("GLIDER_REPLAY_SEED is a u64")],
-        Err(_) => vec![1],
-    }
-}
-
 #[test]
 fn replay_from_any_per_part_cut_rebuilds_the_live_state() {
-    for seed in seeds() {
+    for seed in seeds([1]) {
         eprintln!("replay property: seed {seed}");
         let live = history(seed);
         let want = capture(&live.shards, &live.reg);
@@ -565,7 +564,7 @@ fn replay_from_any_per_part_cut_rebuilds_the_live_state() {
             let k = *cuts.iter().min().unwrap();
             let snapshot = live.snapshot_at(cuts);
             let tail = records(&live.log[k as usize..]);
-            let (mut shards, mut reg) = recover(SHARDS, Some(&snapshot), k, tail)
+            let (mut shards, mut reg) = recover(live.now, SHARDS, Some(&snapshot), k, tail)
                 .unwrap_or_else(|e| panic!("seed {seed}: cuts {cuts:?}: {e}"));
             let state = capture(&shards, &reg);
             // A server's blocks are free unless a recovered node holds them.
@@ -591,13 +590,13 @@ fn replay_from_any_per_part_cut_rebuilds_the_live_state() {
                 );
             }
             if fresh {
-                fresh_ids_stay_fresh(seed, &mut shards, &mut reg);
+                fresh_ids_stay_fresh(seed, live.now, &mut shards, &mut reg);
             }
             state
         };
-        let (mut shards, mut reg) = recover(SHARDS, None, 0, records(&live.log)).unwrap();
+        let (mut shards, mut reg) = recover(live.now, SHARDS, None, 0, records(&live.log)).unwrap();
         assert_eq!(capture(&shards, &reg), want, "seed {seed}: log only");
-        fresh_ids_stay_fresh(seed, &mut shards, &mut reg);
+        fresh_ids_stay_fresh(seed, live.now, &mut shards, &mut reg);
         let mut rng = Lcg(seed ^ 0x5eed);
         for k in 0..=n {
             assert_eq!(got(&[k; PARTS], true), want, "seed {seed}: cut {k}");
@@ -616,10 +615,10 @@ fn replay_from_any_per_part_cut_rebuilds_the_live_state() {
             }
         }
         // A snapshot of a recovered state recovers it again.
-        let (shards, reg) = recover(SHARDS, None, 0, records(&live.log)).unwrap();
+        let (shards, reg) = recover(live.now, SHARDS, None, 0, records(&live.log)).unwrap();
         let mut once = capture(&shards, &reg);
         once.cuts = vec![n; PARTS];
-        let (shards, reg) = recover(SHARDS, Some(&once.encode()), n, []).unwrap();
+        let (shards, reg) = recover(live.now, SHARDS, Some(&once.encode()), n, []).unwrap();
         assert_eq!(capture(&shards, &reg), want, "seed {seed}: recovered twice");
     }
 }
@@ -634,7 +633,7 @@ fn a_record_the_mutators_refuse_fails_recovery_naming_its_lsn() {
     let fail = |extra: WalEntry| {
         let mut log = live.log[k as usize..].to_vec();
         log.push(extra.encode());
-        let Err(err) = recover(SHARDS, Some(&snapshot), k, records(&log)) else {
+        let Err(err) = recover(live.now, SHARDS, Some(&snapshot), k, records(&log)) else {
             panic!("a log ending in {extra:?} recovered");
         };
         err
@@ -669,7 +668,13 @@ fn a_record_the_mutators_refuse_fails_recovery_naming_its_lsn() {
     // A part whose cut is below the log's start lost the records between.
     let mut short = cuts;
     short[2] = k - 1;
-    let err = refused(recover(SHARDS, Some(&live.snapshot_at(&short)), k, []));
+    let err = refused(recover(
+        live.now,
+        SHARDS,
+        Some(&live.snapshot_at(&short)),
+        k,
+        [],
+    ));
     assert!(err.contains("after which the log resumes"), "{err}");
 }
 
@@ -687,14 +692,14 @@ fn refused(result: GliderResult<(Vec<Namespace>, ServerRegistry)>) -> String {
 fn replay_rejects_another_shard_count() {
     let live = history(7);
     let log = || records(&live.log);
-    assert!(recover(SHARDS, None, 0, log()).is_ok());
-    let err = refused(recover(2, None, 0, log()));
+    assert!(recover(live.now, SHARDS, None, 0, log()).is_ok());
+    let err = refused(recover(live.now, 2, None, 0, log()));
     assert!(err.contains("by path but to shard"), "{err}");
     // A snapshot for another shard count, or with a node filed under a
     // shard its id does not map to, is refused too.
     let n = live.log.len() as u64;
     let snap = live.snapshot_at(&[n; PARTS]);
-    refused(recover(2, Some(&snap), n, []));
+    refused(recover(live.now, 2, Some(&snap), n, []));
     let mut moved = Snapshot::decode(&snap).unwrap();
     // A leaf, so no node left behind misses its parent first.
     let (from, at) = (0..SHARDS)
@@ -709,7 +714,7 @@ fn replay_rejects_another_shard_count() {
         .unwrap();
     let node = moved.shards[from].1.remove(at);
     moved.shards[(from + 1) % SHARDS].1.insert(0, node);
-    let err = refused(recover(SHARDS, Some(&moved.encode()), n, []));
+    let err = refused(recover(live.now, SHARDS, Some(&moved.encode()), n, []));
     assert!(err.contains("its id maps to"), "{err}");
 }
 

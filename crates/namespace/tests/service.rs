@@ -3,12 +3,6 @@
 //! `glider-metadata` only adds a span, the `RepairNode` copies and a
 //! test-only allocation delay around these calls.
 
-// Shared with glider-wal's property tests; `frac`/`byte` are unused here.
-#[allow(dead_code)]
-#[path = "../../wal/tests/common/lcg.rs"]
-mod lcg;
-#[path = "../../wal/tests/common/tempdir.rs"]
-mod tempdir;
 use glider_metrics::{MetricsRegistry, Signal};
 use glider_namespace::registry::MAX_SERVER_BLOCKS;
 use glider_namespace::service::{CopyPlan, MetaService, MetadataOptions};
@@ -18,15 +12,21 @@ use glider_proto::types::{
     ServerKind, StorageClass,
 };
 use glider_proto::{ErrorCode, GliderResult};
-use lcg::Lcg;
+use glider_sim::{seeds, Lcg, TempDir};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
-use tempdir::TempDir;
+use std::time::{Duration, Instant};
 
 fn open(options: MetadataOptions) -> MetaService {
-    MetaService::open(options, MetricsRegistry::new()).unwrap()
+    MetaService::open(Instant::now(), options, MetricsRegistry::new()).unwrap()
+}
+
+/// Serves `body` at the current instant. Only a sweep judges a lease,
+/// so the instant matters only to the tests that sweep, and those pass
+/// their own to `MetaService::apply`.
+fn apply(svc: &MetaService, body: RequestBody) -> GliderResult<ResponseBody> {
+    svc.apply(Instant::now(), body)
 }
 
 fn register(svc: &MetaService, class: StorageClass, addr: &str, cap: u64) -> ServerId {
@@ -35,12 +35,15 @@ fn register(svc: &MetaService, class: StorageClass, addr: &str, cap: u64) -> Ser
     } else {
         ServerKind::Data
     };
-    match svc.apply(RequestBody::RegisterServer {
-        kind,
-        storage_class: class,
-        addr: addr.to_string(),
-        capacity_blocks: cap,
-    }) {
+    match apply(
+        svc,
+        RequestBody::RegisterServer {
+            kind,
+            storage_class: class,
+            addr: addr.to_string(),
+            capacity_blocks: cap,
+        },
+    ) {
         Ok(ResponseBody::Registered { server_id, .. }) => server_id,
         other => panic!("unexpected {other:?}"),
     }
@@ -52,12 +55,15 @@ fn create(svc: &MetaService, path: &str, kind: NodeKind) -> GliderResult<NodeInf
         interleaved: true,
         params: String::new(),
     });
-    match svc.apply(RequestBody::CreateNode {
-        path: path.to_string(),
-        kind,
-        storage_class: None,
-        action,
-    })? {
+    match apply(
+        svc,
+        RequestBody::CreateNode {
+            path: path.to_string(),
+            kind,
+            storage_class: None,
+            action,
+        },
+    )? {
         ResponseBody::Node(info) => Ok(info),
         other => panic!("unexpected {other:?}"),
     }
@@ -68,24 +74,30 @@ fn create_file(svc: &MetaService, path: &str) -> NodeInfo {
 }
 
 fn lookup(svc: &MetaService, path: &str) -> GliderResult<NodeInfo> {
-    match svc.apply(RequestBody::LookupNode {
-        path: path.to_string(),
-    })? {
+    match apply(
+        svc,
+        RequestBody::LookupNode {
+            path: path.to_string(),
+        },
+    )? {
         ResponseBody::Node(info) => Ok(info),
         other => panic!("unexpected {other:?}"),
     }
 }
 
 fn delete(svc: &MetaService, path: &str) {
-    let resp = svc.apply(RequestBody::DeleteNode {
-        path: path.to_string(),
-    });
+    let resp = apply(
+        svc,
+        RequestBody::DeleteNode {
+            path: path.to_string(),
+        },
+    );
     assert!(matches!(resp, Ok(ResponseBody::Deleted { .. })), "{resp:?}");
 }
 
 /// `AddBlocks` on an unreplicated service.
 fn add_blocks(svc: &MetaService, node_id: NodeId, count: u32) -> GliderResult<Vec<BlockExtent>> {
-    match svc.apply(RequestBody::AddBlocks { node_id, count })? {
+    match apply(svc, RequestBody::AddBlocks { node_id, count })? {
         ResponseBody::Blocks(extents) => Ok(extents),
         other => panic!("unexpected {other:?}"),
     }
@@ -93,21 +105,21 @@ fn add_blocks(svc: &MetaService, node_id: NodeId, count: u32) -> GliderResult<Ve
 
 /// `AddBlocks` on a service with a replication factor above one.
 fn add_replicated(svc: &MetaService, node_id: NodeId, count: u32) -> Vec<ReplicaExtent> {
-    match svc.apply(RequestBody::AddBlocks { node_id, count }) {
+    match apply(svc, RequestBody::AddBlocks { node_id, count }) {
         Ok(ResponseBody::ReplicatedBlocks(r)) => r,
         other => panic!("factor > 1 must answer ReplicatedBlocks, got {other:?}"),
     }
 }
 
 fn commit(svc: &MetaService, node_id: NodeId, commits: Vec<(BlockId, u64)>) -> GliderResult<()> {
-    match svc.apply(RequestBody::CommitBlocks { node_id, commits })? {
+    match apply(svc, RequestBody::CommitBlocks { node_id, commits })? {
         ResponseBody::Ok => Ok(()),
         other => panic!("unexpected {other:?}"),
     }
 }
 
 fn replicas(svc: &MetaService, node_id: NodeId) -> Vec<ReplicaExtent> {
-    match svc.apply(RequestBody::NodeReplicas { node_id }) {
+    match apply(svc, RequestBody::NodeReplicas { node_id }) {
         Ok(ResponseBody::ReplicatedBlocks(r)) => r,
         other => panic!("unexpected {other:?}"),
     }
@@ -214,10 +226,13 @@ fn backups_follow_the_class_fallback_chain() {
 
     // Replacing the DRAM block suspects the DRAM server: the replacement
     // and its backup both come from NVMe, on two servers.
-    let replaced = match svc.apply(RequestBody::ReplaceBlock {
-        node_id: f.id,
-        block_id: got[0].extent.loc.block_id,
-    }) {
+    let replaced = match apply(
+        &svc,
+        RequestBody::ReplaceBlock {
+            node_id: f.id,
+            block_id: got[0].extent.loc.block_id,
+        },
+    ) {
         Ok(ResponseBody::ReplicatedBlocks(r)) => r,
         other => panic!("unexpected {other:?}"),
     };
@@ -315,10 +330,13 @@ fn replace_block_moves_extent_to_live_server() {
     // get a fresh extent at the same chain position, uncommitted, on the
     // other (live) server.
     let old = got[0].loc.clone();
-    let replaced = match svc.apply(RequestBody::ReplaceBlock {
-        node_id: f.id,
-        block_id: old.block_id,
-    }) {
+    let replaced = match apply(
+        &svc,
+        RequestBody::ReplaceBlock {
+            node_id: f.id,
+            block_id: old.block_id,
+        },
+    ) {
         Ok(ResponseBody::Block(b)) => b,
         other => panic!("unexpected {other:?}"),
     };
@@ -333,10 +351,13 @@ fn replace_block_moves_extent_to_live_server() {
 
     // A block that is not part of the node is NotFound, even though the
     // class is now out of live capacity.
-    let err = svc.apply(RequestBody::ReplaceBlock {
-        node_id: f.id,
-        block_id: BlockId(u64::MAX),
-    });
+    let err = apply(
+        &svc,
+        RequestBody::ReplaceBlock {
+            node_id: f.id,
+            block_id: BlockId(u64::MAX),
+        },
+    );
     assert_eq!(code(err), ErrorCode::NotFound);
 }
 
@@ -384,11 +405,14 @@ fn file_block_chain() {
 #[test]
 fn data_plane_ops_are_rejected() {
     let svc = open(MetadataOptions::default());
-    let err = svc.apply(RequestBody::ReadBlock {
-        block_id: 1.into(),
-        offset: 0,
-        len: 1,
-    });
+    let err = apply(
+        &svc,
+        RequestBody::ReadBlock {
+            block_id: 1.into(),
+            offset: 0,
+            len: 1,
+        },
+    );
     assert_eq!(code(err), ErrorCode::Unsupported);
 }
 
@@ -489,9 +513,12 @@ fn shards_route_ids_and_merge_root_listing() {
         ErrorCode::NotFound
     );
     // The root listing merges every shard, sorted.
-    let names = match svc.apply(RequestBody::ListChildren {
-        path: "/".to_string(),
-    }) {
+    let names = match apply(
+        &svc,
+        RequestBody::ListChildren {
+            path: "/".to_string(),
+        },
+    ) {
         Ok(ResponseBody::Children(names)) => names,
         other => panic!("unexpected {other:?}"),
     };
@@ -546,7 +573,7 @@ fn repair_promotes_and_re_replicates_and_the_log_keeps_it() {
             .with_wal(dir.path())
     };
     let metrics = MetricsRegistry::new();
-    let svc = MetaService::open(options(), Arc::clone(&metrics)).unwrap();
+    let svc = MetaService::open(Instant::now(), options(), Arc::clone(&metrics)).unwrap();
     let s1 = register(&svc, StorageClass::dram(), "127.0.0.1:7701", 4);
     let f = create_file(&svc, "/f");
     let got = add_replicated(&svc, f.id, 2);
@@ -583,9 +610,10 @@ fn repair_promotes_and_re_replicates_and_the_log_keeps_it() {
     // s1 falls silent past two leases while s2 keeps beating: its
     // primaries are promoted from their backups, keeping the committed
     // length, and no third server means no new backups.
-    std::thread::sleep(lease * 3);
-    svc.apply(RequestBody::Heartbeat { server_id: s2 }).unwrap();
-    svc.sweep();
+    let later = Instant::now() + lease * 3;
+    svc.apply(later, RequestBody::Heartbeat { server_id: s2 })
+        .unwrap();
+    svc.sweep(later);
     assert_eq!(metrics.snapshot().current(Signal::ServersDead), 1);
     let (plans, layout) = svc.repair_node_locked(f.id).unwrap();
     assert!(plans.is_empty());
@@ -602,6 +630,68 @@ fn repair_promotes_and_re_replicates_and_the_log_keeps_it() {
     assert_eq!(replicas(&svc, f.id), layout);
     let unknown = svc.repair_node_locked(NodeId(u64::MAX));
     assert_eq!(code(unknown), ErrorCode::NotFound);
+}
+
+/// The lease walk DESIGN.md §10 promises, on instants the test picks: a
+/// server silent past one lease is Suspect, past two Dead, and a
+/// heartbeat brings it back.
+#[test]
+fn a_silent_server_walks_suspect_then_dead_and_a_heartbeat_readmits_it() {
+    let lease = Duration::from_secs(10);
+    let metrics = MetricsRegistry::new();
+    let t0 = Instant::now();
+    let options = MetadataOptions::default().with_lease(lease);
+    let svc = MetaService::open(t0, options, Arc::clone(&metrics)).unwrap();
+    let [silent, beating] = ["127.0.0.1:7601", "127.0.0.1:7602"].map(|addr| {
+        let body = RequestBody::RegisterServer {
+            kind: ServerKind::Data,
+            storage_class: StorageClass::dram(),
+            addr: addr.to_string(),
+            capacity_blocks: 2,
+        };
+        match svc.apply(t0, body) {
+            Ok(ResponseBody::Registered { server_id, .. }) => server_id,
+            other => panic!("unexpected {other:?}"),
+        }
+    });
+    let census = || {
+        let snap = metrics.snapshot();
+        [
+            Signal::ServersLive,
+            Signal::ServersSuspect,
+            Signal::ServersDead,
+        ]
+        .map(|s| snap.current(s))
+    };
+    let beat = |at: Instant, server_id: ServerId| {
+        svc.apply(at, RequestBody::Heartbeat { server_id }).unwrap();
+    };
+    let at = |leases: f64| t0 + lease.mul_f64(leases);
+
+    beat(at(1.0), beating);
+    svc.sweep(at(1.0));
+    assert_eq!(census(), [2, 0, 0], "silent for exactly one lease");
+    beat(at(1.5), beating);
+    svc.sweep(at(1.5));
+    assert_eq!(census(), [1, 1, 0], "silent for one and a half leases");
+    beat(at(2.5), beating);
+    svc.sweep(at(2.5));
+    assert_eq!(census(), [1, 0, 1], "silent for two and a half leases");
+
+    // The dead server's blocks are refused: only the beating one's two
+    // are handed out.
+    let f = create_file(&svc, "/f");
+    let got = add_blocks(&svc, f.id, 2).unwrap();
+    assert!(got.iter().all(|e| e.loc.server_id == beating));
+    assert_eq!(code(add_blocks(&svc, f.id, 1)), ErrorCode::OutOfCapacity);
+
+    // A heartbeat re-admits it, and its lease starts over.
+    beat(at(3.0), silent);
+    assert_eq!(census(), [2, 0, 0]);
+    svc.sweep(at(3.5));
+    assert_eq!(census(), [2, 0, 0]);
+    let got = add_blocks(&svc, f.id, 1).unwrap();
+    assert_eq!(got[0].loc.server_id, silent);
 }
 
 #[test]
@@ -682,12 +772,15 @@ fn server_capacity_over_the_cap_is_refused_before_anything_changes() {
     let wal = || MetadataOptions::default().with_wal(dir.path());
     let svc = open(wal());
     for capacity_blocks in [u64::MAX, MAX_SERVER_BLOCKS + 1] {
-        let refused = svc.apply(RequestBody::RegisterServer {
-            kind: ServerKind::Data,
-            storage_class: StorageClass::dram(),
-            addr: "127.0.0.1:1".to_string(),
-            capacity_blocks,
-        });
+        let refused = apply(
+            &svc,
+            RequestBody::RegisterServer {
+                kind: ServerKind::Data,
+                storage_class: StorageClass::dram(),
+                addr: "127.0.0.1:1".to_string(),
+                capacity_blocks,
+            },
+        );
         assert_eq!(code(refused), ErrorCode::InvalidArgument);
     }
     assert!(svc.capture().servers.is_empty());
@@ -696,12 +789,15 @@ fn server_capacity_over_the_cap_is_refused_before_anything_changes() {
     let svc = open(wal());
     assert!(svc.capture().servers.is_empty());
     assert_eq!(
-        svc.apply(RequestBody::RegisterServer {
-            kind: ServerKind::Data,
-            storage_class: StorageClass::dram(),
-            addr: "127.0.0.1:1".to_string(),
-            capacity_blocks: 4,
-        }),
+        apply(
+            &svc,
+            RequestBody::RegisterServer {
+                kind: ServerKind::Data,
+                storage_class: StorageClass::dram(),
+                addr: "127.0.0.1:1".to_string(),
+                capacity_blocks: 4,
+            }
+        ),
         Ok(ResponseBody::Registered {
             server_id: ServerId(1),
             first_block_id: BlockId(1),
@@ -759,14 +855,17 @@ fn oversized_requests_are_refused_before_anything_changes() {
             Some(spec(long(1), long(64 * 1024 + 1))),
         ),
     ] {
-        assert_eq!(code(svc.apply(body)), ErrorCode::InvalidArgument);
+        assert_eq!(code(apply(&svc, body)), ErrorCode::InvalidArgument);
     }
     drop(svc);
     let svc = open(wal());
     assert_eq!(lookup(&svc, "/f").unwrap().size, 0);
-    let names = svc.apply(RequestBody::ListChildren {
-        path: "/".to_string(),
-    });
+    let names = apply(
+        &svc,
+        RequestBody::ListChildren {
+            path: "/".to_string(),
+        },
+    );
     assert!(
         matches!(&names, Ok(ResponseBody::Children(n)) if n == &["f"]),
         "{names:?}"
@@ -836,7 +935,7 @@ fn churn(svc: &MetaService, worker: u64, rng: &mut Lcg, stop: &AtomicBool) {
                 let _ = commit(svc, id, commits);
             }
             _ => {
-                let _ = svc.apply(RequestBody::DeleteNode { path: top });
+                let _ = apply(svc, RequestBody::DeleteNode { path: top });
             }
         }
     }
@@ -847,42 +946,42 @@ fn snapshots_cut_under_load_recover_the_live_state() {
     const WORKERS: u64 = 4;
     /// Snapshots taken, the last of them too, while the workers run.
     const SNAPSHOTS: usize = 32;
-    let seed: u64 = std::env::var("GLIDER_REPLAY_SEED")
-        .map_or(1, |s| s.parse().expect("GLIDER_REPLAY_SEED is a u64"));
-    let dir = TempDir::new("glider-meta-service-cuts");
-    let options = || {
-        MetadataOptions::default()
-            .with_namespace_shards(4)
-            .with_wal(dir.path())
-    };
-    let svc = open(options());
-    register(&svc, StorageClass::dram(), "127.0.0.1:7900", 64);
-    let stop = AtomicBool::new(false);
-    let start = Barrier::new(WORKERS as usize + 1);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..WORKERS)
-            .map(|w| {
-                let (svc, stop, start) = (&svc, &stop, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    churn(svc, w, &mut Lcg(seed * 31 + w), stop);
+    for seed in seeds([1]) {
+        let dir = TempDir::new("glider-meta-service-cuts");
+        let options = || {
+            MetadataOptions::default()
+                .with_namespace_shards(4)
+                .with_wal(dir.path())
+        };
+        let svc = open(options());
+        register(&svc, StorageClass::dram(), "127.0.0.1:7900", 64);
+        let stop = AtomicBool::new(false);
+        let start = Barrier::new(WORKERS as usize + 1);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|w| {
+                    let (svc, stop, start) = (&svc, &stop, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        churn(svc, w, &mut Lcg(seed * 31 + w), stop);
+                    })
                 })
-            })
-            .collect();
-        start.wait();
-        let snapped = (0..SNAPSHOTS).try_for_each(|_| svc.snapshot_now());
-        stop.store(true, Ordering::Release);
-        for worker in workers {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
+                .collect();
+            start.wait();
+            let snapped = (0..SNAPSHOTS).try_for_each(|_| svc.snapshot_now());
+            stop.store(true, Ordering::Release);
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
-        }
-        snapped.unwrap();
-    });
-    let want = svc.capture();
-    drop(svc);
-    let got = open(options()).capture();
-    assert_eq!(got.servers, want.servers, "seed {seed}");
-    assert_eq!(got.shards, want.shards, "seed {seed}");
-    assert_eq!(got.cuts, want.cuts, "seed {seed}");
+            snapped.unwrap();
+        });
+        let want = svc.capture();
+        drop(svc);
+        let got = open(options()).capture();
+        assert_eq!(got.servers, want.servers, "seed {seed}");
+        assert_eq!(got.shards, want.shards, "seed {seed}");
+        assert_eq!(got.cuts, want.cuts, "seed {seed}");
+    }
 }

@@ -4,8 +4,8 @@
 //! loom_pool --release` (requires the `loom` dev-dependency, added by
 //! the CI loom job).
 //!
-//! Like `loom_pending.rs`, this models the *algorithm* with loom's
-//! primitives rather than driving the production types: the pool is a
+//! This models the *algorithm* with loom's primitives rather than
+//! driving the production types: the pool is a
 //! mutex-protected freelist plus relaxed hit/miss counters, and the
 //! properties checked are the ones the production `BytesPool` relies on:
 //!

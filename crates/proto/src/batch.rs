@@ -260,6 +260,7 @@ impl RecordDeframer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glider_sim::Lcg;
 
     fn pack(records: &[&[u8]]) -> (u32, Bytes) {
         let mut b = RecordBatchBuilder::new();
@@ -341,20 +342,6 @@ mod tests {
         assert_eq!(&rec[..], b"abcdef");
         let base = data.as_ptr() as usize;
         assert_eq!(rec.as_ptr() as usize, base + RECORD_HEADER_LEN);
-    }
-
-    /// Numerical Recipes LCG; draws are the high 31 bits.
-    struct Lcg(u64);
-
-    impl Lcg {
-        /// Uniform-ish value in `0..bound` (`bound` > 0).
-        fn below(&mut self, bound: usize) -> usize {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((self.0 >> 33) % bound as u64) as usize
-        }
     }
 
     /// Up to 15 records of up to 63 arbitrary bytes each.

@@ -14,35 +14,18 @@ use bytes::Bytes;
 use glider_proto::batch::{
     unpack_records, RecordBatchBuilder, RecordBatchIter, RecordDeframer, RECORD_HEADER_LEN,
 };
+use glider_sim::Lcg;
 
-/// Minimal xorshift-free LCG (Numerical Recipes constants): good enough
-/// to spray structured garbage, with no dependency and no global state.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0
-    }
-
-    /// Uniform-ish value in `0..bound` (`bound` > 0).
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next_u64() % bound as u64) as usize
-    }
-
-    fn bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.next_u64() as u8).collect()
-    }
+/// `len` seeded bytes.
+fn bytes(rng: &mut Lcg, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.byte()).collect()
 }
 
 fn build_batch(rng: &mut Lcg, max_records: usize, max_len: usize) -> (u32, Bytes) {
     let mut b = RecordBatchBuilder::new();
     for _ in 0..rng.below(max_records + 1) {
         let len = rng.below(max_len + 1);
-        let record = rng.bytes(len);
+        let record = bytes(rng, len);
         b.push(&record);
     }
     b.finish()
@@ -111,7 +94,7 @@ fn random_garbage_never_panics_the_iterator() {
     let mut rng = Lcg(0x5eed_0003);
     for _ in 0..2000 {
         let len = rng.below(200);
-        let garbage = Bytes::from(rng.bytes(len));
+        let garbage = Bytes::from(bytes(&mut rng, len));
         // Most garbage has a wild length prefix; all of it must come out
         // as records + at most one error, with no panic.
         let _ = drain(garbage.clone());

@@ -32,17 +32,11 @@
 //! Run one history with `GLIDER_REPLAY_SEED=<n> cargo test -p
 //! glider-proto --test session`; a failure names its seed and step.
 
-// Shared with glider-wal's property tests; `frac` and `byte` are unused
-// here.
-#[allow(dead_code)]
-#[path = "../../wal/tests/common/lcg.rs"]
-mod lcg;
-
 use glider_proto::frame::{Frame, TaggedFrame, LEGACY_STREAM};
 use glider_proto::message::{Request, RequestBody, Response, ResponseBody};
 use glider_proto::session::{Admit, ClientSession, Event, ServerSession, Start, Window};
 use glider_proto::types::{NodeId, PeerTier};
-use lcg::Lcg;
+use glider_sim::{seeds, Lcg};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Steps one history takes.
@@ -143,7 +137,7 @@ impl History {
     }
 
     fn below(&mut self, bound: usize) -> usize {
-        self.rng.range(0, bound.max(1) as u64) as usize
+        self.rng.below(bound.max(1))
     }
 
     fn chance(&mut self, percent: u64) -> bool {
@@ -616,16 +610,9 @@ impl History {
     }
 }
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("GLIDER_REPLAY_SEED") {
-        Ok(s) => vec![s.parse().expect("GLIDER_REPLAY_SEED is a u64")],
-        Err(_) => (1..=8).collect(),
-    }
-}
-
 #[test]
 fn every_call_completes_once_and_no_window_grows_past_its_size() {
-    for seed in seeds() {
+    for seed in seeds(1..=8) {
         let mut history = History::new(seed);
         for _ in 0..2 {
             history.open_stream();

@@ -16,12 +16,8 @@
 //! Each property runs as a seeded loop (std-only, so the crate tests
 //! offline); a failing case names its seed, and `Lcg(seed)` replays it.
 
-// Shared with glider-wal's property tests; `frac`/`byte` are unused here.
-#[allow(dead_code)]
-#[path = "../../wal/tests/common/lcg.rs"]
-mod lcg;
+use glider_sim::Lcg;
 use glider_trace::{FlightRecorder, SpanRecord};
-use lcg::Lcg;
 use std::sync::{mpsc, Barrier};
 use std::time::Duration;
 

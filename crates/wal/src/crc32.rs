@@ -129,7 +129,7 @@ impl Default for Crc32 {
 mod tests {
     use super::*;
 
-    use crate::lcg::Lcg;
+    use glider_sim::Lcg;
 
     /// The one-table bytewise walk: the oracle for the sliced kernel.
     fn bytewise(data: &[u8]) -> u32 {

@@ -94,16 +94,6 @@
 //! "successful" sync would vouch for bytes that are gone.
 
 mod crc32;
-// The seeded generator of the crate's property tests; `frac` is unused
-// by the unit tests.
-#[cfg(test)]
-#[allow(dead_code)]
-#[path = "../tests/common/lcg.rs"]
-mod lcg;
-// The scratch-directory guard of the crate's tests.
-#[cfg(test)]
-#[path = "../tests/common/tempdir.rs"]
-mod tempdir;
 
 pub use crc32::{crc32, Crc32};
 
@@ -1072,7 +1062,7 @@ impl Log {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tempdir::TempDir;
+    use glider_sim::TempDir;
 
     fn test_dir(name: &str) -> TempDir {
         TempDir::new(&format!("glider-wal-test-{name}"))
@@ -1550,7 +1540,7 @@ mod tests {
         // Thread id, then 0..=300 bytes of that thread's seeded stream.
         let sent: Vec<Vec<Vec<u8>>> = (0..THREADS)
             .map(|t| {
-                let mut rng = lcg::Lcg(SEED + t as u64);
+                let mut rng = glider_sim::Lcg(SEED + t as u64);
                 (0..PER_THREAD)
                     .map(|_| {
                         let mut payload = vec![t as u8];

@@ -4,10 +4,8 @@
 //! write migration notes in DESIGN.md §15, and regenerate the fixture
 //! deliberately.
 
-#[path = "common/tempdir.rs"]
-mod tempdir;
+use glider_sim::TempDir;
 use glider_wal::{FsyncPolicy, Wal, WalOptions};
-use tempdir::TempDir;
 
 const GOLDEN_HEX: &str = include_str!("golden/segment.hex");
 const GOLDEN_SNAPSHOT_HEX: &str = include_str!("golden/snapshot.hex");

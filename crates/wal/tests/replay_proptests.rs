@@ -5,17 +5,10 @@
 //! Each property runs as a seeded loop (std-only, so the crate tests
 //! offline); a failing case names its seed, and `Lcg(seed)` replays it.
 
-#[path = "common/lcg.rs"]
-mod lcg;
-// `path` is unused here: the helpers take the guard as a `&Path`.
-#[allow(dead_code)]
-#[path = "common/tempdir.rs"]
-mod tempdir;
+use glider_sim::{Lcg, TempDir};
 use glider_wal::{FsyncPolicy, Wal, WalOptions, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN};
-use lcg::Lcg;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use tempdir::TempDir;
 
 const SEGMENT_BYTES: u64 = 256;
 const CASES: u64 = 64;
