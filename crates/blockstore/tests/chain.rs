@@ -24,7 +24,8 @@
 //! A writer gives a block up after a chunk fails twice, as the client
 //! moves to a fresh block then. Run one history with
 //! `GLIDER_REPLAY_SEED=<n> cargo test -p glider-blockstore --test chain`;
-//! a failure names its seed, factor and step.
+//! a failure names its seed, factor and step. A seed must give one
+//! history: run twice in one process, every call's outcome must repeat.
 
 use bytes::Bytes;
 use glider_blockstore::{BlockStore, DataService, DataStep};
@@ -121,6 +122,8 @@ struct History {
     acked_writes: usize,
     losses: usize,
     copies: usize,
+    /// Every call's outcome, in order.
+    outcomes: Vec<String>,
 }
 
 impl History {
@@ -146,6 +149,7 @@ impl History {
             acked_writes: 0,
             losses: 0,
             copies: 0,
+            outcomes: Vec::new(),
         };
         for _ in 0..=factor {
             let addr = format!("data-{}", history.servers.len());
@@ -165,6 +169,23 @@ impl History {
         self.rng.below(bound.max(1))
     }
 
+    fn note<T: std::fmt::Debug>(&mut self, outcome: T) -> T {
+        self.outcomes.push(format!("{outcome:?}"));
+        outcome
+    }
+
+    /// `MetaService::apply` at the history's one instant.
+    fn apply(&mut self, body: RequestBody) -> GliderResult<ResponseBody> {
+        let outcome = self.meta.apply(self.now, body);
+        self.note(outcome)
+    }
+
+    /// `MetaService::maintenance`'s plans.
+    fn maintenance(&mut self) -> Vec<CopyPlan> {
+        let plans = self.meta.maintenance();
+        self.note(plans)
+    }
+
     /// Registers a data server at `addr`. At a used address this is a
     /// restart that lost every block: the old registration is retired.
     fn register(&mut self, addr: String) {
@@ -174,7 +195,7 @@ impl History {
             addr: addr.clone(),
             capacity_blocks: CAPACITY,
         };
-        let first = match self.meta.apply(self.now, body) {
+        let first = match self.apply(body) {
             Ok(ResponseBody::Registered { first_block_id, .. }) => first_block_id,
             other => panic!("{}: register {addr}: {other:?}", self.at()),
         };
@@ -190,7 +211,7 @@ impl History {
             storage_class: None,
             action: None,
         };
-        match self.meta.apply(self.now, body) {
+        match self.apply(body) {
             Ok(ResponseBody::Node(info)) => self.nodes.push(info.id),
             other => panic!("{}: create: {other:?}", self.at()),
         }
@@ -202,13 +223,10 @@ impl History {
             return;
         };
         let count = self.rng.range(1, 3) as u32;
-        let layout = match self.meta.apply(
-            self.now,
-            RequestBody::AddBlocks {
-                node_id: node,
-                count,
-            },
-        ) {
+        let layout = match self.apply(RequestBody::AddBlocks {
+            node_id: node,
+            count,
+        }) {
             Ok(ResponseBody::ReplicatedBlocks(layout)) => layout,
             other => panic!("{}: add blocks: {other:?}", self.at()),
         };
@@ -247,7 +265,8 @@ impl History {
                 data: Bytes::from(data.clone()),
             };
             let head = chain[0].addr.clone();
-            match send(&self.servers, &mut self.rng, HOP_FAULTS, &head, body) {
+            let reply = send(&self.servers, &mut self.rng, HOP_FAULTS, &head, body);
+            match self.note(reply) {
                 Ok(ResponseBody::Written { n }) => {
                     assert_eq!(n, len, "{}: ack of {n} bytes for {len}", self.at());
                     for loc in &chain {
@@ -292,7 +311,7 @@ impl History {
         // Refused once a promotion took the block's place in the chain, or
         // once no live replica holds the bytes (a writer then replaces the
         // block and replays them).
-        if self.meta.apply(self.now, body).is_ok() {
+        if self.apply(body).is_ok() {
             self.extents[i].committed = len;
         }
     }
@@ -306,7 +325,8 @@ impl History {
                 dst: plan.dst.clone(),
                 len: plan.len,
             };
-            if send(&self.servers, &mut self.rng, faults, &plan.src_addr, body).is_ok() {
+            let reply = send(&self.servers, &mut self.rng, faults, &plan.src_addr, body);
+            if self.note(reply).is_ok() {
                 self.meta.copied(&plan);
             }
             self.copies += 1;
@@ -317,7 +337,7 @@ impl History {
     /// repaired-layout check.
     fn repair(&mut self) {
         for _round in 0..8 {
-            let plans = self.meta.maintenance();
+            let plans = self.maintenance();
             if plans.is_empty() {
                 break;
             }
@@ -394,7 +414,7 @@ impl History {
             26..=69 => self.write(),
             70..=84 => self.commit(),
             85..=99 => {
-                let plans = self.meta.maintenance();
+                let plans = self.maintenance();
                 self.copy(plans, HOP_FAULTS);
             }
             _ => self.create(),
@@ -402,7 +422,8 @@ impl History {
     }
 }
 
-fn run(seed: u64, factor: u32) {
+/// Runs one history; returns its calls' outcomes.
+fn run(seed: u64, factor: u32) -> Vec<String> {
     let mut history = History::new(seed, factor);
     while history.step < STEPS {
         history.step();
@@ -422,6 +443,7 @@ fn run(seed: u64, factor: u32) {
         "{}: the history exercised nothing",
         history.at()
     );
+    history.outcomes
 }
 
 /// The history that found the commit of lost bytes: after a backup's
@@ -431,6 +453,24 @@ fn run(seed: u64, factor: u32) {
 #[test]
 fn a_commit_no_live_replica_holds_is_refused_seed_5() {
     run(5, 2);
+}
+
+/// The registry's maps reach which server a block is allocated on,
+/// retired from and repaired to: iterated in a per-process order, they
+/// gave one seed a different history from run to run.
+#[test]
+fn a_seed_replays_its_history_factor_two() {
+    for seed in seeds([1]) {
+        let (first, second) = (run(seed, 2), run(seed, 2));
+        let differ = first.iter().zip(&second).position(|(a, b)| a != b);
+        if let Some(call) = differ {
+            panic!(
+                "seed {seed} factor 2: call {call} was {} and then {}",
+                first[call], second[call]
+            );
+        }
+        assert_eq!(first.len(), second.len(), "seed {seed} factor 2");
+    }
 }
 
 #[test]

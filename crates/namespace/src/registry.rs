@@ -8,7 +8,7 @@
 
 use glider_proto::types::{BlockId, BlockLocation, ServerId, ServerKind, StorageClass};
 use glider_proto::{ErrorCode, GliderError, GliderResult};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// The most blocks one server may contribute. The registry keeps about
@@ -105,8 +105,11 @@ impl ServerEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct ServerRegistry {
-    servers: HashMap<ServerId, ServerEntry>,
-    classes: HashMap<StorageClass, ClassState>,
+    /// Ordered, as are `classes` and `copies`: their iteration order
+    /// reaches allocation, retirement and repair, and a seeded history
+    /// replays only if no map iterates in a per-process order.
+    servers: BTreeMap<ServerId, ServerEntry>,
+    classes: BTreeMap<StorageClass, ClassState>,
     /// Each registered server's block range, keyed by its first block:
     /// ranges never overlap, so a block's owner is the entry at or below
     /// it, when the block falls inside that server's capacity.
@@ -121,7 +124,7 @@ pub struct ServerRegistry {
 /// put in each (0 until one is confirmed). A backup the writer's chain
 /// wrote is not here.
 #[derive(Debug, Default, Clone)]
-pub struct Copies(HashMap<BlockId, u64>);
+pub struct Copies(BTreeMap<BlockId, u64>);
 
 impl Copies {
     /// Whether backup `block` holds the first `len` bytes of its extent:

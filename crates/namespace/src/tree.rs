@@ -106,7 +106,9 @@ pub struct DeleteOutcome {
 /// ```
 #[derive(Debug)]
 pub struct Namespace {
-    nodes: HashMap<NodeId, Node>,
+    /// Ordered: maintenance's census walks it, so its order reaches the
+    /// repairs.
+    nodes: BTreeMap<NodeId, Node>,
     by_path: HashMap<NodePath, NodeId>,
     next_id: u64,
 }
@@ -135,7 +137,7 @@ impl Namespace {
             parent: None,
             children: BTreeMap::new(),
         };
-        let mut nodes = HashMap::new();
+        let mut nodes = BTreeMap::new();
         nodes.insert(root_id, root);
         let mut by_path = HashMap::new();
         by_path.insert(NodePath::root(), root_id);
