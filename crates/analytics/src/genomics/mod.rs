@@ -18,48 +18,20 @@
 //! simplified to producing the intermediate data, exactly as the paper
 //! does ("we simplify the map computation to focus on the data shuffle").
 //!
-//! Both implementations share the record generator, the sampling rule
-//! (every [`SAMPLE_RATE`]-th record is flagged), the range computation and
-//! the variant caller, so their final outputs must be byte-identical —
+//! Both implementations share the record generator
+//! ([`glider_gen::generate_map_records`]), the sampling rule (every
+//! [`SAMPLE_RATE`]-th record is flagged), the range computation and the
+//! variant caller, so their final outputs must be byte-identical —
 //! asserted in tests.
 
 pub mod actions;
 pub mod run;
 
+pub use glider_gen::SAMPLE_RATE;
 pub use run::{run_baseline, run_glider, GenomicsConfig, GenomicsOutcome};
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// One in `SAMPLE_RATE` alignment records carries the sample flag used to
-/// derive reducer ranges.
-pub const SAMPLE_RATE: usize = 100;
 
 /// Minimum reads covering a position for it to be called a variant.
 pub const MIN_READS: u64 = 2;
-
-/// Generates the alignment records one mapper `(fasta_chunk, fastq_chunk)`
-/// emits: CSV lines `pos,read_id,flag` with positions uniform in
-/// `[0, span)` and every [`SAMPLE_RATE`]-th record flagged `s`.
-pub fn generate_map_records(
-    seed: u64,
-    fasta_chunk: usize,
-    fastq_chunk: usize,
-    records: usize,
-    span: i64,
-) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(
-        seed ^ ((fasta_chunk as u64) << 32) ^ (fastq_chunk as u64).wrapping_mul(0x9E3779B97F4A7C15),
-    );
-    let mut out = Vec::with_capacity(records * 20);
-    for n in 0..records {
-        let pos = rng.gen_range(0..span.max(1));
-        let read_id: u32 = rng.gen();
-        let flag = if (n + 1) % SAMPLE_RATE == 0 { 's' } else { '.' };
-        out.extend_from_slice(format!("{pos},{read_id:08x},{flag}\n").as_bytes());
-    }
-    out
-}
 
 /// Parses the position (first CSV field) of an alignment record line.
 pub fn parse_pos(line: &str) -> Option<i64> {
@@ -124,6 +96,7 @@ pub fn call_variants(sorted_positions: &[i64]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glider_gen::generate_map_records;
 
     #[test]
     fn map_records_are_deterministic_and_flagged() {

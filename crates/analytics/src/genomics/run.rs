@@ -2,7 +2,7 @@
 //! actions) and their shared configuration.
 
 use super::actions::genomics_registry;
-use super::{call_variants, compute_ranges, generate_map_records};
+use super::{call_variants, compute_ranges};
 use crate::report::WorkloadReport;
 use crate::text::multiset_checksum;
 use bytes::Bytes;
@@ -10,6 +10,7 @@ use glider_core::{
     ActionSpec, Cluster, ClusterConfig, GliderError, GliderResult, MetricsRegistry, StoreClient,
 };
 use glider_faas::{FaasPlatform, FunctionConfig};
+use glider_gen::generate_map_records;
 use glider_objectstore::{ObjectClient, ObjectStore, ObjectStoreConfig, Predicate};
 use glider_util::{ByteSize, Stopwatch};
 use std::sync::Arc;

@@ -16,7 +16,7 @@ use crate::report::WorkloadReport;
 use crate::text::WordCounter;
 use bytes::Bytes;
 use glider_core::{ActionSpec, Cluster, ClusterConfig, GliderResult, StoreClient};
-use glider_util::textgen::{TextGen, FILTER_MARKER};
+use glider_gen::{TextGen, FILTER_MARKER};
 use glider_util::{ByteSize, Stopwatch};
 
 /// Configuration of the Table 2 experiment.

@@ -12,7 +12,7 @@ use crate::kernels::StreamingAggregator;
 use crate::report::WorkloadReport;
 use bytes::Bytes;
 use glider_core::{ActionSpec, Cluster, ClusterConfig, GliderError, GliderResult};
-use glider_util::textgen::PairGen;
+use glider_gen::PairGen;
 use glider_util::Stopwatch;
 use std::collections::HashMap;
 

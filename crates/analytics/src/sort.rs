@@ -15,7 +15,7 @@ use crate::kernels;
 use crate::report::WorkloadReport;
 use bytes::Bytes;
 use glider_core::{ActionSpec, Cluster, ClusterConfig, GliderError, GliderResult, StoreClient};
-use glider_util::textgen::{RecordGen, SORT_KEY_LEN, SORT_RECORD_LEN};
+use glider_gen::{RecordGen, SORT_KEY_LEN, SORT_RECORD_LEN};
 use glider_util::{ByteSize, Stopwatch};
 
 /// Configuration of the Fig. 7 experiment.

@@ -71,6 +71,7 @@ pub fn multiset_checksum<'a>(items: impl Iterator<Item = &'a [u8]>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glider_sim::{seeds, Lcg};
 
     #[test]
     fn word_counter_across_chunks() {
@@ -107,5 +108,31 @@ mod tests {
             multiset_checksum(a.iter().copied()),
             multiset_checksum(c.iter().copied())
         );
+    }
+
+    /// Appending a byte to any one record changes the checksum. It is
+    /// not cryptographic, but a single-record change must be caught.
+    #[test]
+    fn multiset_checksum_detects_any_single_change() {
+        for seed in seeds(1..=8) {
+            let mut rng = Lcg(seed);
+            for case in 0..4 {
+                let count = rng.range(2, 20);
+                let mut records: Vec<Vec<u8>> = (0..count)
+                    .map(|_| {
+                        let len = rng.range(4, 8);
+                        (0..len).map(|_| rng.byte()).collect()
+                    })
+                    .collect();
+                let original = multiset_checksum(records.iter().map(Vec::as_slice));
+                let i = rng.below(records.len());
+                records[i].push(0xFF);
+                assert_ne!(
+                    original,
+                    multiset_checksum(records.iter().map(Vec::as_slice)),
+                    "seed {seed} case {case}: record {i} grew a byte"
+                );
+            }
+        }
     }
 }

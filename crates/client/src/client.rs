@@ -65,13 +65,6 @@ struct Inner {
     lookup_cache: Mutex<HashMap<String, (NodeInfo, Instant)>>,
 }
 
-/// Deterministic routing over the first path component, shared by every
-/// client — and by the metadata server's internal namespace shards — so
-/// they all agree on placement ([`glider_namespace::shard_of`]).
-fn partition_of(path: &str, partitions: usize) -> usize {
-    glider_namespace::shard_of(path, partitions)
-}
-
 /// Canonical lookup-cache key for `path`: trailing slashes are stripped
 /// so `/job/` and `/job` share one entry. Without this, a delete issued
 /// with a trailing slash missed the cache entry written by a slash-less
@@ -171,7 +164,9 @@ impl StoreClient {
                 | RequestBody::ReplaceBlock { .. }
         );
         let subtree = matches!(body, RequestBody::DeleteNode { .. });
-        let idx = partition_of(path, self.inner.metas.len());
+        // The metadata server's namespace shards route by the same
+        // function, so a client's partition is also the path's shard.
+        let idx = glider_namespace::shard_of(path, self.inner.metas.len());
         let Some(meta) = self.inner.metas.get(idx) else {
             return Err(GliderError::protocol(format!(
                 "metadata partition {idx} out of range"
@@ -812,8 +807,8 @@ impl std::fmt::Debug for StoreClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{cache_key, partition_of};
-    use proptest::prelude::*;
+    use super::cache_key;
+    use glider_sim::{seeds, Lcg};
 
     /// The residual bug behind ISSUE 9 satellite (a): the lookup cache
     /// was keyed by the raw path string, so `delete("/job/")` failed to
@@ -829,50 +824,27 @@ mod tests {
         assert_eq!(cache_key("/"), "/");
         assert_eq!(cache_key("//"), "/");
         assert_eq!(cache_key(""), "/");
-    }
 
-    proptest! {
-        /// Any number of trailing slashes collapses to the same key, so
-        /// a mutation through one spelling always evicts the others.
-        #[test]
-        fn cache_key_is_slash_insensitive(
-            path in "/[a-zA-Z0-9._-]{1,12}(/[a-zA-Z0-9._-]{1,12}){0,3}",
-            slashes in 0usize..4,
-        ) {
-            let spelled = format!("{path}{}", "/".repeat(slashes));
-            prop_assert_eq!(cache_key(&spelled), cache_key(&path));
-        }
-    }
-
-    proptest! {
-        /// Client partition routing and the metadata server's internal
-        /// namespace-shard routing are the same function: a client that
-        /// picks partition `p` for a path finds the path on shard `p` of
-        /// a server sharded the same number of ways. This is the contract
-        /// that keeps whole subtrees on one partition *and* one lock.
-        #[test]
-        fn partition_routing_agrees_with_server_shards(
-            path in "/[a-zA-Z0-9/._-]{0,48}",
-            partitions in 1usize..32,
-        ) {
-            prop_assert_eq!(
-                partition_of(&path, partitions),
-                glider_namespace::shard_of(&path, partitions)
-            );
-        }
-
-        /// Routing depends only on the first path component, so every
-        /// node of a subtree reaches the same metadata partition.
-        #[test]
-        fn subtrees_stay_on_one_partition(
-            first in "[a-zA-Z0-9._-]{1,16}",
-            leaf in "[a-zA-Z0-9/._-]{0,32}",
-            partitions in 1usize..32,
-        ) {
-            prop_assert_eq!(
-                partition_of(&format!("/{first}"), partitions),
-                partition_of(&format!("/{first}/{leaf}"), partitions)
-            );
+        // Any number of trailing slashes collapses to the same key, so a
+        // mutation through one spelling always evicts the others.
+        const NAME: &[u8] = b"abcXYZ019._-";
+        for seed in seeds(1..=8) {
+            let mut rng = Lcg(seed);
+            for case in 0..32 {
+                let mut path = String::new();
+                for _ in 0..rng.range(1, 5) {
+                    path.push('/');
+                    for _ in 0..rng.range(1, 13) {
+                        path.push(char::from(NAME[rng.below(NAME.len())]));
+                    }
+                }
+                let spelled = format!("{path}{}", "/".repeat(rng.below(4)));
+                assert_eq!(
+                    cache_key(&spelled),
+                    cache_key(&path),
+                    "seed {seed} case {case}: {spelled:?}"
+                );
+            }
         }
     }
 }

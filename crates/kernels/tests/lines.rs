@@ -1,8 +1,10 @@
 //! `LineScanner` and `LineFilter` against their oracles: seeded and
 //! fixed texts, cut at every single point and at seeded multi-point cuts
 //! with 1-byte (and empty) chunks, must split like `split` on `\n` and
-//! filter like `str::contains`.
+//! filter like `str::contains`. Table 2's own input, `glider-gen`'s
+//! marker text, must filter like a window search.
 
+use glider_gen::{TextGen, FILTER_MARKER};
 use glider_kernels::{LineFilter, LineScanner};
 use glider_sim::Lcg;
 
@@ -117,4 +119,40 @@ fn scanner_and_filter_match_oracles_at_seeded_cuts() {
             assert_scans_like_oracles(text, &cuts, pattern, &case);
         }
     }
+}
+
+/// Table 2's filter over its input: at least 10^5 lines of marker text
+/// at 0.25 % selectivity, fed in 16 KiB chunks as storage reads them,
+/// keep byte for byte the lines a window search finds the marker in.
+/// Selectivity 0 keeps nothing and 1 keeps the whole text.
+#[test]
+fn the_filter_keeps_table_two_marker_lines_like_a_window_search() {
+    let marker = FILTER_MARKER.as_bytes();
+    let filter = |text: &[u8]| {
+        let mut filter = LineFilter::new(marker);
+        let mut kept = Vec::new();
+        for chunk in text.chunks(16 * 1024) {
+            filter.push_chunk(chunk, &mut kept);
+        }
+        filter.finish(&mut kept);
+        kept
+    };
+    let lines = |text: &[u8]| text.iter().filter(|&&b| b == b'\n').count();
+
+    let text = TextGen::new(1, 0.0025).generate_bytes(10_000_000);
+    assert!(lines(&text) >= 100_000, "{} lines", lines(&text));
+    let mut oracle = Vec::new();
+    for line in oracle_lines(&text) {
+        if line.windows(marker.len()).any(|w| w == marker) {
+            oracle.extend_from_slice(line);
+            oracle.push(b'\n');
+        }
+    }
+    let kept = filter(&text);
+    assert!(lines(&kept) > 0, "the text carries the marker");
+    assert_eq!(kept, oracle);
+
+    assert!(filter(&TextGen::new(2, 0.0).generate_bytes(1_000_000)).is_empty());
+    let all = TextGen::new(3, 1.0).generate_bytes(1_000_000);
+    assert_eq!(filter(&all), all);
 }

@@ -168,7 +168,7 @@ impl BytesPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use glider_sim::{seeds, Lcg};
 
     #[test]
     fn get_put_get_reuses_the_allocation() {
@@ -236,56 +236,64 @@ mod tests {
         assert_eq!(snap.current(Signal::PoolMisses), 1);
     }
 
-    proptest! {
-        /// Outstanding buffers never alias: each holds exactly the
-        /// pattern written into it, no matter how gets and puts
-        /// interleave.
-        #[test]
-        fn outstanding_buffers_are_independent(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
-            let pool = BytesPool::new(32, 8);
-            let mut outstanding: Vec<(u8, BytesMut)> = Vec::new();
-            let mut next_tag: u8 = 0;
-            for op in ops {
-                if op || outstanding.is_empty() {
-                    let mut buf = pool.get();
-                    prop_assert!(buf.is_empty());
-                    buf.extend_from_slice(&[next_tag; 32]);
-                    outstanding.push((next_tag, buf));
-                    next_tag = next_tag.wrapping_add(1);
-                } else {
-                    let (_, buf) = outstanding.swap_remove(outstanding.len() / 2);
-                    pool.put(buf);
+    /// Outstanding buffers never alias: each holds exactly the pattern
+    /// written into it, no matter how gets and puts interleave.
+    #[test]
+    fn outstanding_buffers_are_independent() {
+        for seed in seeds(1..=8) {
+            let mut rng = Lcg(seed);
+            for case in 0..32 {
+                let pool = BytesPool::new(32, 8);
+                let mut outstanding: Vec<(u8, BytesMut)> = Vec::new();
+                let mut next_tag: u8 = 0;
+                for step in 0..rng.range(1, 200) {
+                    let at = format!("seed {seed} case {case} step {step}");
+                    if rng.below(2) == 0 || outstanding.is_empty() {
+                        let mut buf = pool.get();
+                        assert!(buf.is_empty(), "{at}: a reused buffer is not empty");
+                        buf.extend_from_slice(&[next_tag; 32]);
+                        outstanding.push((next_tag, buf));
+                        next_tag = next_tag.wrapping_add(1);
+                    } else {
+                        let (_, buf) = outstanding.swap_remove(outstanding.len() / 2);
+                        pool.put(buf);
+                    }
+                    for (tag, buf) in &outstanding {
+                        assert_eq!(&buf[..], &[*tag; 32][..], "{at}: buffer contents clobbered");
+                    }
                 }
-                for (tag, buf) in &outstanding {
-                    prop_assert_eq!(&buf[..], &[*tag; 32][..], "buffer contents clobbered");
-                }
+                let gets = pool.hits() + pool.misses();
+                assert!(pool.hits() <= gets, "seed {seed} case {case}");
+                assert!(pool.free_len() <= 8, "seed {seed} case {case}");
             }
-            let gets = pool.hits() + pool.misses();
-            prop_assert!(pool.hits() <= gets);
-            prop_assert!(pool.free_len() <= 8);
         }
+    }
 
-        /// Freeze/recycle round trips reclaim capacity: once the sole
-        /// handle is recycled, the next get is a hit and keeps the size
-        /// class.
-        #[test]
-        fn recycle_reclaims_capacity(len in 1usize..64, rounds in 1usize..20) {
-            let pool = BytesPool::new(64, 4);
-            let mut misses_seen = 0;
-            for round in 0..rounds {
-                let mut buf = pool.get();
-                if round == 0 {
-                    misses_seen = pool.misses();
+    /// Freeze/recycle round trips reclaim capacity: once the sole handle
+    /// is recycled, the next get is a hit and keeps the size class.
+    #[test]
+    fn recycle_reclaims_capacity() {
+        for seed in seeds(1..=8) {
+            let mut rng = Lcg(seed);
+            for case in 0..32 {
+                let (len, rounds) = (rng.range(1, 64) as usize, rng.range(1, 20));
+                let at = format!("seed {seed} case {case}: {rounds} rounds of {len} bytes");
+                let pool = BytesPool::new(64, 4);
+                let mut misses_seen = 0;
+                for round in 0..rounds {
+                    let mut buf = pool.get();
+                    if round == 0 {
+                        misses_seen = pool.misses();
+                    }
+                    buf.extend_from_slice(&vec![0xA5u8; len]);
+                    let frozen = buf.freeze();
+                    assert!(pool.recycle(frozen), "{at}: the sole handle must recycle");
                 }
-                buf.extend_from_slice(&vec![0xA5u8; len]);
-                let frozen = buf.freeze();
-                prop_assert!(pool.recycle(frozen), "sole handle must recycle");
+                // Only the first get may allocate; every later one is a hit.
+                assert_eq!(pool.misses(), misses_seen, "{at}");
+                assert_eq!(pool.hits(), rounds - 1, "{at}");
+                assert!(pool.get().capacity() >= 64, "{at}");
             }
-            // Only the first get may allocate; every later one is a hit.
-            prop_assert_eq!(pool.misses(), misses_seen);
-            prop_assert_eq!(pool.hits(), rounds as u64 - 1);
-            let buf = pool.get();
-            prop_assert!(buf.capacity() >= 64);
         }
     }
 }

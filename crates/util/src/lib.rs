@@ -3,7 +3,7 @@
 //! This crate hosts the small, dependency-light helpers used across the
 //! workspace: byte-size formatting and parsing, a token-bucket rate limiter
 //! used to model constrained serverless network links, monotonic id
-//! allocation, seeded random-data generators, and a stopwatch for the
+//! allocation, and a stopwatch for the
 //! benchmark harnesses. [`lockorder`] is `glider_namespace::lockorder`,
 //! re-exported so the net crate's buffer pool names it from here.
 //!
@@ -21,7 +21,6 @@ pub mod ids;
 pub mod rate;
 pub mod size;
 pub mod stopwatch;
-pub mod textgen;
 
 pub use glider_namespace::lockorder;
 pub use ids::IdGen;

@@ -97,7 +97,7 @@ impl fmt::Display for ByteSize {
         } else if b >= MIB {
             write!(f, "{:.2} MiB", b as f64 / MIB as f64)
         } else if b >= KIB {
-            write!(f, "{} KiB", b / KIB)
+            write!(f, "{:.2} KiB", b as f64 / KIB as f64)
         } else {
             write!(f, "{b} B")
         }
@@ -177,6 +177,7 @@ impl FromStr for ByteSize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glider_sim::{seeds, Lcg};
 
     #[test]
     fn constructors_scale() {
@@ -188,7 +189,10 @@ mod tests {
     #[test]
     fn display_picks_binary_unit() {
         assert_eq!(ByteSize::bytes(17).to_string(), "17 B");
-        assert_eq!(ByteSize::kib(3).to_string(), "3 KiB");
+        assert_eq!(ByteSize::kib(3).to_string(), "3.00 KiB");
+        // Integer division printed 1535 B as "1 KiB", which parses back
+        // a third short.
+        assert_eq!(ByteSize::bytes(1535).to_string(), "1.50 KiB");
         assert_eq!(ByteSize::mib(5).to_string(), "5.00 MiB");
         assert_eq!(ByteSize::gib(2).to_string(), "2.00 GiB");
     }
@@ -229,5 +233,30 @@ mod tests {
         assert_eq!(ByteSize::bytes(1).div_ceil(block), 1);
         assert_eq!(ByteSize::mib(1).div_ceil(block), 1);
         assert_eq!((ByteSize::mib(1) + ByteSize::bytes(1)).div_ceil(block), 2);
+    }
+
+    /// Display then parse gives the size back up to Display's rounding
+    /// (two decimals above 1 MiB: within 1 %, plus 8 B), at every
+    /// magnitude below `u64::MAX / 2048`.
+    #[test]
+    fn display_parse_round_trips_within_display_rounding() {
+        for seed in seeds(1..=8) {
+            let mut rng = Lcg(seed);
+            for case in 0..32 {
+                let wide = (rng.next() << 62) ^ (rng.next() << 31) ^ rng.next();
+                let n = (wide >> rng.range(0, 64)) % (u64::MAX / 2048);
+                let at = format!("seed {seed} case {case}: {n}");
+                let parsed: ByteSize = ByteSize::bytes(n)
+                    .to_string()
+                    .parse()
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                let err = parsed.as_u64().abs_diff(n);
+                assert!(
+                    err as f64 <= n as f64 * 0.01 + 8.0,
+                    "{at} parsed back as {}",
+                    parsed.as_u64()
+                );
+            }
+        }
     }
 }

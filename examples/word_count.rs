@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use glider_core::{ActionSpec, Cluster, ClusterConfig, GliderError, GliderResult};
 use glider_examples::{banner, human};
-use glider_util::textgen::TextGen;
+use glider_gen::TextGen;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
